@@ -425,25 +425,13 @@ class Anonymizer:
         stats.system_ids = len(system_ids)
         self._insert_addresses(addresses | system_ids)
 
-        # Pre-hash the vocabulary.  Only words whose anonymization touches
-        # no salted hash are warmed: warming a hashable word would record
-        # it in `hasher.hashed_inputs` even when comment stripping removes
-        # it before the token pass, and the leak scanner treats that
-        # record as ground truth.
-        token_anon = self.token_anon
-        passlist = token_anon.passlist
-        from repro.core.tokens import segment_word
-
+        # Warm the vocabulary that needs no salted hash (see
+        # TokenAnonymizer.warm for why hashable words are skipped).
+        warm = self.token_anon.warm
         words = set()
         for text in configs.values():
             words.update(text.split())
-        for word in words:
-            if all(
-                not is_alpha or run in passlist
-                for run, is_alpha in segment_word(word)
-            ):
-                token_anon.warm(word)
-                stats.words_warmed += 1
+        stats.words_warmed = sum(1 for word in words if warm(word))
 
         # Warm the ASN / community permutation caches (best-effort: these
         # are pure keyed permutations, so a missed context just maps

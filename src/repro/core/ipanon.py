@@ -44,6 +44,20 @@ added to the data-structure":
   subnet addresses whenever they are inserted before conflicting hosts
   (best-effort, exactly as the paper describes: a readability aid, not a
   security property).
+
+The walk resumes where the previous one left off.  Two addresses that
+share their first *k* bits share the trie nodes at depths 0..*k*, so once
+one of them has been walked, those nodes exist and their output bits are
+known.  ``raw_map`` remembers the last walked value and its output, and
+starts the next walk at the depth where the new value diverges from it.
+The skipped levels are exactly those where a full walk would only find
+existing nodes, so node creations and RNG draws happen in the order a
+full walk from the root makes them, and ``_flips`` comes out identical,
+insertion order included.  The corpus preload inserts addresses in
+sorted runs, where neighbours share most of their bits, so most of its
+walking is skipped.  Replacing ``_flips`` on a map that has already
+walked must be followed by :meth:`PrefixPreservingMap.invalidate_cache`,
+which forgets the remembered path along with the memos.
 """
 
 from __future__ import annotations
@@ -65,6 +79,9 @@ from repro.netutil import (
     trailing_zero_bits,
     trailing_zero_bits128,
 )
+
+#: ``_last_walk`` before any walk: no value to share a prefix with.
+_NO_WALK = (-1, 0)
 
 
 class SpecialAddresses:
@@ -176,6 +193,9 @@ class PrefixPreservingMap:
         # RuleContext.map_ip_text (stored here so it shares this trie's
         # lifecycle: same stability argument, same invalidation).
         self._text_cache = {}
+        # (value, output) of the last trie walk; raw_map resumes below
+        # the prefix a new value shares with it.  Reset with the memos.
+        self._last_walk = _NO_WALK
         self._frozen = False
         self._frozen_flip_key = derive_key(salt, "ip-trie-frozen-flip-bits")
         self.class_preserving = class_preserving
@@ -196,10 +216,15 @@ class PrefixPreservingMap:
             return cached
         if not 0 <= value <= IPV4_MAX:
             raise ValueError("not a 32-bit address: {!r}".format(value))
-        output = 0
+        # Resume below the prefix this value shares with the last walk:
+        # every node down to that depth exists, so skipping those levels
+        # creates no node and draws no RNG bit a full walk would not.
+        last_value, last_output = self._last_walk
+        depth = 32 - (value ^ last_value).bit_length() if last_value >= 0 else 0
+        output = last_output >> (32 - depth)
         flips = self._flips
         shapeable = -1  # lazily computed, shared by every node of this walk
-        for depth in range(32):
+        for depth in range(depth, 32):
             prefix = value >> (32 - depth)
             key = (depth, prefix)
             flip = flips.get(key)
@@ -211,12 +236,14 @@ class PrefixPreservingMap:
             bit = (value >> (31 - depth)) & 1
             output = (output << 1) | (bit ^ flip)
         self._raw_cache[value] = output
+        self._last_walk = (value, output)
         return output
 
     def invalidate_cache(self) -> None:
         """Drop the mapping memos (call after replacing ``_flips``)."""
         self._raw_cache.clear()
         self._text_cache.clear()
+        self._last_walk = _NO_WALK
 
     def freeze(self) -> None:
         """Detach any *future* flip bits from the RNG stream.
@@ -368,6 +395,7 @@ class Prefix6PreservingMap:
         # IPv6 text -> rule-level outcome memo, owned by
         # RuleContext.map_ip6_text (same lifecycle as the v4 text cache).
         self._text_cache = {}
+        self._last_walk = _NO_WALK
         self._frozen = False
         self._frozen_flip_key = derive_key(salt, "ip6-trie-frozen-flip-bits")
         self.subnet_shaping = subnet_shaping
@@ -392,10 +420,14 @@ class Prefix6PreservingMap:
             return cached
         if not 0 <= value <= IPV6_MAX:
             raise ValueError("not a 128-bit address: {!r}".format(value))
-        output = 0
+        # Resume below the prefix shared with the last walk (see
+        # PrefixPreservingMap.raw_map).
+        last_value, last_output = self._last_walk
+        depth = 128 - (value ^ last_value).bit_length() if last_value >= 0 else 0
+        output = last_output >> (128 - depth)
         flips = self._flips
         shapeable = -1
-        for depth in range(128):
+        for depth in range(depth, 128):
             prefix = value >> (128 - depth)
             key = (depth, prefix)
             flip = flips.get(key)
@@ -407,11 +439,13 @@ class Prefix6PreservingMap:
             bit = (value >> (127 - depth)) & 1
             output = (output << 1) | (bit ^ flip)
         self._raw_cache[value] = output
+        self._last_walk = (value, output)
         return output
 
     def invalidate_cache(self) -> None:
         self._raw_cache.clear()
         self._text_cache.clear()
+        self._last_walk = _NO_WALK
 
     def freeze(self) -> None:
         """Detach future flip bits from the RNG stream (see

@@ -18,27 +18,34 @@ The pipeline:
    the vocabulary, pre-maps ASNs/communities, and freezes the trie (any
    address the scan missed maps through a pure keyed hash instead of the
    RNG stream, so even a scanner gap cannot introduce order dependence).
-2. **Snapshot** — the frozen shared maps are captured in a
-   :class:`FrozenSnapshot` and made visible to every worker **once**, via
-   a *snapshot transport*:
+2. **Publish** — the frozen parent is made visible to every worker
+   **once**, via a *snapshot transport*:
 
-   - ``fork`` (the default where available) — the snapshot is published
-     in a module global and worker processes are forked, inheriting it
-     through copy-on-write pages: zero serialization, zero copies.
-   - ``shm`` — the snapshot is pickled **once** into a
-     :mod:`multiprocessing.shared_memory` segment; each worker attaches
-     to the segment by name and deserializes from the shared buffer (one
-     parent-side pickle total, instead of one per worker).
+   - ``fork`` (the default where available) — the frozen parent
+     :class:`Anonymizer` itself is published in a module global and
+     worker processes are forked, inheriting it through copy-on-write
+     pages: zero serialization, zero copies, zero rebuilding.
+   - ``shm`` — the frozen maps are captured in a :class:`FrozenSnapshot`
+     and pickled **once** into a :mod:`multiprocessing.shared_memory`
+     segment; each worker attaches to the segment by name and
+     deserializes from the shared buffer (one parent-side pickle total,
+     instead of one per worker).
    - ``pickle`` — the legacy path: the snapshot travels in the pool
      initializer's arguments.
 
-3. **Rewrite** — each worker builds an :class:`Anonymizer` *around* the
-   snapshot's dicts (``restore(share=True)``: rules and compiled regexes
-   are rebuilt in-process, the frozen dicts are adopted, not copied) and
+3. **Rewrite** — a ``fork`` worker adopts the inherited anonymizer as
+   is, so every memo the freeze filled (raw trie walks, words, ASNs,
+   communities) is warm and the rule dispatch is already compiled; only
+   its fault plan is rebuilt, so injected faults count per worker.  A
+   ``shm`` or ``pickle`` worker builds an :class:`Anonymizer` *around*
+   the snapshot's dicts (``restore(share=True)``: rules and compiled
+   regexes are rebuilt in-process, the frozen dicts are adopted, not
+   copied; the raw-walk memo starts cold).  Either way the worker
    rewrites whole files.  Files are batched into **chunked tasks** so
    submit/result overhead is amortized over many small configs; failure
    isolation stays per-file (a chunk catches each file's exceptions
-   individually).
+   individually).  After a worker death, the in-process retry tail runs
+   on a restored snapshot on every transport.
 4. **Merge** — per-file :class:`AnonymizationReport`\\ s and hash-cache
    deltas are folded into the parent in sorted-file-name order — the same
    order the sequential pipeline uses — so the combined report equals the
@@ -57,6 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AnonymizerConfig
 from repro.core.engine import AnonymizedNetwork, Anonymizer
+from repro.core.faults import build_fault_plan
 from repro.core.report import AnonymizationReport
 
 __all__ = [
@@ -73,7 +81,7 @@ SNAPSHOT_TRANSPORTS = ("auto", "fork", "shm", "pickle")
 
 @dataclass
 class FrozenSnapshot:
-    """Read-only mapping state shipped to every worker process.
+    """Read-only mapping state shipped to ``shm`` and ``pickle`` workers.
 
     Everything here is either a pure function of the owner secret
     (reconstructed from ``config.salt`` in the worker) or a plain dict of
@@ -121,10 +129,9 @@ class FrozenSnapshot:
         ``share=False`` (the default, for arbitrary callers) copies every
         dict so the snapshot stays pristine.  ``share=True`` adopts the
         snapshot's dicts directly — the right choice whenever the
-        snapshot exists solely to back one restore: a forked worker
-        (adopting touches copy-on-write pages, never the parent), a
-        worker that just unpickled its own private snapshot, or the
-        in-process retry tail (one local anonymizer for the whole tail).
+        snapshot exists solely to back one restore: a worker that just
+        unpickled its own private snapshot, or the in-process retry tail
+        (one local anonymizer for the whole tail).
         Restores sharing one snapshot see each other's cache *additions*;
         every addition is a pure function of the salt, so outputs are
         unaffected — only ``share=False`` guarantees the snapshot's dicts
@@ -179,7 +186,7 @@ def resolve_transport(requested: str = "auto") -> str:
     return "shm"
 
 
-#: One worker's Anonymizer, built once per process by the initializers.
+#: One worker's Anonymizer, set once per process by the initializers.
 _WORKER_ANONYMIZER: Optional[Anonymizer] = None
 
 #: True only in pool worker processes (set by the initializers).  The
@@ -187,25 +194,34 @@ _WORKER_ANONYMIZER: Optional[Anonymizer] = None
 #: the parent when a task falls back to in-process rewriting.
 _IN_WORKER = False
 
-#: The snapshot published for fork-transport workers; children inherit it
-#: through copy-on-write, so it is never serialized at all.
-_FORK_SNAPSHOT: Optional[FrozenSnapshot] = None
+#: The frozen parent anonymizer published for fork-transport workers;
+#: children inherit it through copy-on-write, so it is never serialized
+#: and never rebuilt.
+_FORK_PARENT: Optional[Anonymizer] = None
 
 
-def _adopt_snapshot(snapshot: FrozenSnapshot) -> None:
+def _adopt(anonymizer: Anonymizer) -> None:
     global _WORKER_ANONYMIZER, _IN_WORKER
-    _WORKER_ANONYMIZER = snapshot.restore(share=True)
+    _WORKER_ANONYMIZER = anonymizer
     _IN_WORKER = True
 
 
 def _init_worker(snapshot: FrozenSnapshot) -> None:
     """Legacy ``pickle`` transport: the snapshot rode in the initargs."""
-    _adopt_snapshot(snapshot)
+    _adopt(snapshot.restore(share=True))
 
 
 def _init_worker_fork() -> None:
-    """``fork`` transport: the snapshot was inherited copy-on-write."""
-    _adopt_snapshot(_FORK_SNAPSHOT)
+    """``fork`` transport: adopt the inherited frozen parent whole.
+
+    Every memo the freeze filled (raw trie walks, words, ASNs,
+    communities) and the compiled rule dispatch come along warm.  Only
+    the fault plan is rebuilt, so injected faults count per worker from
+    the same fresh state a restored snapshot would give.
+    """
+    anonymizer = _FORK_PARENT
+    anonymizer.fault_plan = build_fault_plan(anonymizer.config)
+    _adopt(anonymizer)
 
 
 def _init_worker_shm(segment_name: str, payload_size: int) -> None:
@@ -218,7 +234,7 @@ def _init_worker_shm(segment_name: str, payload_size: int) -> None:
     finally:
         segment.close()
         _untrack_shm(segment_name)
-    _adopt_snapshot(snapshot)
+    _adopt(snapshot.restore(share=True))
 
 
 def _untrack_shm(name: str) -> None:
@@ -237,30 +253,41 @@ def _untrack_shm(name: str) -> None:
         pass
 
 
-class _SnapshotPools:
-    """Process-pool factory whose workers attach to one shared snapshot.
+class _WorkerPools:
+    """Process-pool factory whose workers all see one frozen anonymizer.
 
-    Publishes the snapshot once according to the transport (module global
-    for ``fork``, a single pickle into shared memory for ``shm``, nothing
-    for ``pickle``), builds any number of pools against it, and tears the
-    shared resources down on exit.
+    Publishes the parent once according to the transport: the anonymizer
+    itself in a module global for ``fork``, its snapshot pickled once into
+    shared memory for ``shm``, nothing up front for ``pickle`` (the
+    snapshot rides in each pool's initializer arguments).  Builds any
+    number of pools against it and tears the shared resources down on
+    exit.  The parent must not change while pools are in use.
     """
 
-    def __init__(self, snapshot: FrozenSnapshot, transport: str):
+    def __init__(self, anonymizer: Anonymizer, transport: str):
         self.transport = transport
-        self._snapshot = snapshot
+        self._anonymizer = anonymizer
+        self._snapshot: Optional[FrozenSnapshot] = None
         self._shm = None
         self._payload_size = 0
 
-    def __enter__(self) -> "_SnapshotPools":
+    @property
+    def snapshot(self) -> FrozenSnapshot:
+        """The parent's snapshot, captured on first use (never, on the
+        ``fork`` transport's happy path)."""
+        if self._snapshot is None:
+            self._snapshot = FrozenSnapshot.capture(self._anonymizer)
+        return self._snapshot
+
+    def __enter__(self) -> "_WorkerPools":
         if self.transport == "fork":
-            global _FORK_SNAPSHOT
-            _FORK_SNAPSHOT = self._snapshot
+            global _FORK_PARENT
+            _FORK_PARENT = self._anonymizer
         elif self.transport == "shm":
             from multiprocessing import shared_memory
 
             payload = pickle.dumps(
-                self._snapshot, protocol=pickle.HIGHEST_PROTOCOL
+                self.snapshot, protocol=pickle.HIGHEST_PROTOCOL
             )
             self._payload_size = len(payload)
             self._shm = shared_memory.SharedMemory(
@@ -289,13 +316,13 @@ class _SnapshotPools:
         return ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
-            initargs=(self._snapshot,),
+            initargs=(self.snapshot,),
         )
 
     def __exit__(self, *exc_info) -> bool:
         if self.transport == "fork":
-            global _FORK_SNAPSHOT
-            _FORK_SNAPSHOT = None
+            global _FORK_PARENT
+            _FORK_PARENT = None
         if self._shm is not None:
             self._shm.close()
             try:
@@ -436,13 +463,12 @@ def anonymize_files(
     if chunk_files is None:
         chunk_files = config.chunk_files
 
-    snapshot = FrozenSnapshot.capture(anonymizer)
     results: Dict[str, Tuple[str, AnonymizationReport, Dict[str, str]]] = {}
     quarantined: Dict[str, str] = {}
     unfinished: List[str] = []
     chunks = _chunk_names(names, jobs, chunk_files)
 
-    with _SnapshotPools(snapshot, transport) as pools:
+    with _WorkerPools(anonymizer, transport) as pools:
         with pools.make_pool(min(jobs, len(chunks))) as pool:
             futures = [
                 (
@@ -500,7 +526,7 @@ def anonymize_files(
                 # tail, adopting the snapshot's dicts instead of copying
                 # them per file (a pool worker reuses its anonymizer
                 # across files the same way).
-                local = snapshot.restore(share=True)
+                local = pools.snapshot.restore(share=True)
                 for name in remaining:
                     try:
                         _, out, file_report, hashed_delta = _rewrite_with(

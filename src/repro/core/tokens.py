@@ -123,15 +123,30 @@ class TokenAnonymizer:
         self.tokens_hashed += entry[2]
         return entry[0]
 
-    def warm(self, word: str) -> None:
-        """Pre-compute *word*'s anonymization without counting it.
+    def warm(self, word: str) -> bool:
+        """Memoize *word* if it anonymizes without a salted hash.
 
-        Used by the mapping-freeze phase: the salted hash of every
-        distinct word is computed up front so the rewrite phase (and every
-        parallel worker shipped the warmed cache) only does dict lookups.
+        Used by the mapping-freeze phase, so the rewrite phase (and every
+        parallel worker that inherits the warmed cache) only does dict
+        lookups.  Returns whether *word* qualified: every alphabetic run
+        is on the pass-list, so the word maps to itself.  A word that
+        needs a hash is left alone, because hashing it here would record
+        it in ``hasher.hashed_inputs`` even if comment stripping removes
+        it before the token pass, and the leak scanner treats that record
+        as ground truth.  The word is segmented once, counters untouched.
         """
-        if word not in self._word_cache:
-            self._compute_word(word)
+        entry = self._word_cache.get(word)
+        if entry is not None:
+            return entry[2] == 0  # no hashed run: every run is pass-listed
+        seen = 0
+        passlist = self.passlist
+        for run, is_alpha in segment_word(word):
+            if is_alpha:
+                if run not in passlist:
+                    return False
+                seen += 1
+        self._word_cache[word] = (word, seen, 0)
+        return True
 
     def iter_unknown_runs(self, text: str) -> Iterator[str]:
         """Yield the alphabetic runs in *text* that are not on the pass-list."""

@@ -12,6 +12,7 @@ Injected faults (:mod:`repro.core.faults`) prove that
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -208,17 +209,23 @@ class TestQuarantine:
         clean.freeze_mappings(dict(configs))
         expected = anonymize_files(clean, dict(configs), jobs=1)
 
-        faulted = Anonymizer(
-            AnonymizerConfig(salt=b"wq", fault_plan="worker-exit:poison")
-        )
-        faulted.freeze_mappings(dict(configs))
-        outputs = anonymize_files(faulted, dict(configs), jobs=2)
-        assert sorted(outputs) == sorted(set(configs) - {"poison.cfg"})
-        assert set(faulted.report.quarantined_files) == {"poison.cfg"}
-        # Every surviving file is byte-identical to the clean run: the
-        # crash-and-respawn never perturbs the frozen mappings.
-        for name, text in outputs.items():
-            assert text == expected[name]
+        transports = ["shm", "pickle"]
+        if "fork" in multiprocessing.get_all_start_methods():
+            transports.insert(0, "fork")
+        for transport in transports:
+            faulted = Anonymizer(
+                AnonymizerConfig(salt=b"wq", fault_plan="worker-exit:poison")
+            )
+            faulted.freeze_mappings(dict(configs))
+            outputs = anonymize_files(
+                faulted, dict(configs), jobs=2, transport=transport
+            )
+            assert sorted(outputs) == sorted(set(configs) - {"poison.cfg"})
+            assert set(faulted.report.quarantined_files) == {"poison.cfg"}
+            # Every surviving file is byte-identical to the clean run: the
+            # crash-and-respawn never perturbs the frozen mappings.
+            for name, text in outputs.items():
+                assert text == expected[name]
 
 
 class TestAtomicWrites:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cryptopan import CryptoPanMap
-from repro.core.ipanon import PrefixPreservingMap, SpecialAddresses
+from repro.core.ipanon import (
+    _NO_WALK,
+    Prefix6PreservingMap,
+    PrefixPreservingMap,
+    SpecialAddresses,
+)
 from repro.netutil import address_class, ip_to_int, int_to_ip, trailing_zero_bits
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -280,3 +285,138 @@ class TestCryptoPan:
         assert crypto1.map_address("10.1.1.0") == crypto2.map_address("10.1.1.0")
         # (the trie outputs may or may not differ; both stay valid mappings)
         assert trie1_sub != "" and trie2_sub != ""
+
+
+class _ColdWalk:
+    """Forgets the previous walk before every trie walk, so each one
+    starts at the root: the reference the resuming walk must match."""
+
+    def raw_map(self, value):
+        self._last_walk = _NO_WALK
+        return super().raw_map(value)
+
+
+class _ColdMap(_ColdWalk, PrefixPreservingMap):
+    pass
+
+
+class _ColdMap6(_ColdWalk, Prefix6PreservingMap):
+    pass
+
+
+@st.composite
+def clustered_values(draw, bits):
+    """Values around a few bases, so consecutive walks share long prefixes
+    (the freeze's sorted runs) as well as diverging near the root."""
+    bases = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
+    values = []
+    for _ in range(draw(st.integers(1, 40))):
+        low_bits = draw(st.integers(0, bits))
+        values.append(draw(st.sampled_from(bases)) ^ draw(st.integers(0, (1 << low_bits) - 1)))
+    if draw(st.booleans()):  # the freeze's order: most trailing zeros first
+        values.sort(key=lambda v: (-(((v & -v).bit_length() - 1) if v else bits), v))
+    return values
+
+
+def _import_state(ip_map, donor):
+    """The state-import path: replace the trie wholesale, then invalidate."""
+    ip_map._flips = dict(donor._flips)
+    ip_map._rng.setstate(donor._rng.getstate())
+    ip_map.invalidate_cache()
+
+
+def _trie_state(ip_map):
+    return (
+        list(ip_map._flips.items()),
+        list(ip_map._raw_cache.items()),
+        ip_map.addresses_mapped,
+        ip_map.collision_walks,
+        ip_map.collision_allowed,
+    )
+
+
+class TestPrefixResumingWalk:
+    """The walk that resumes below the previous walk's shared prefix
+    creates the same nodes, in the same order, as a walk from the root."""
+
+    def _run(self, make, values, donor_values, freeze_at, import_at):
+        resumed, cold, donor = make(False), make(True), make(False)
+        for value in donor_values:
+            donor.map_int(value)
+        outputs = ([], [])
+        for index, value in enumerate(values):
+            for ip_map in (resumed, cold):
+                if index == freeze_at:
+                    ip_map.freeze()
+                if index == import_at:
+                    _import_state(ip_map, donor)
+            outputs[0].append(resumed.map_int(value))
+            outputs[1].append(cold.map_int(value))
+        assert outputs[0] == outputs[1]
+        assert _trie_state(resumed) == _trie_state(cold)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=clustered_values(32),
+        donor_values=clustered_values(32),
+        class_preserving=st.booleans(),
+        subnet_shaping=st.booleans(),
+        policy=st.sampled_from(["walk", "allow"]),
+        freeze_at=st.integers(0, 45),
+        import_at=st.one_of(st.none(), st.integers(0, 45)),
+    )
+    def test_v4_matches_cold_walk(
+        self, values, donor_values, class_preserving, subnet_shaping, policy,
+        freeze_at, import_at,
+    ):
+        def make(cold):
+            return (_ColdMap if cold else PrefixPreservingMap)(
+                b"resume",
+                class_preserving=class_preserving,
+                subnet_shaping=subnet_shaping,
+                collision_policy=policy,
+            )
+
+        self._run(make, values, donor_values, freeze_at, import_at)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=clustered_values(128),
+        donor_values=clustered_values(128),
+        subnet_shaping=st.booleans(),
+        policy=st.sampled_from(["walk", "allow"]),
+        freeze_at=st.integers(0, 45),
+        import_at=st.one_of(st.none(), st.integers(0, 45)),
+    )
+    def test_v6_matches_cold_walk(
+        self, values, donor_values, subnet_shaping, policy, freeze_at, import_at
+    ):
+        def make(cold):
+            return (_ColdMap6 if cold else Prefix6PreservingMap)(
+                b"resume6", subnet_shaping=subnet_shaping, collision_policy=policy
+            )
+
+        self._run(make, values, donor_values, freeze_at, import_at)
+
+    def test_walk_resumes_at_divergence_depth(self):
+        class CountingDict(dict):
+            probes = 0
+
+            def get(self, key, default=None):
+                CountingDict.probes += 1
+                return super().get(key, default)
+
+        ip_map = PrefixPreservingMap(b"resume")
+        ip_map._flips = CountingDict()
+        ip_map.invalidate_cache()
+        ip_map.map_address("10.1.1.4")
+        assert CountingDict.probes == 32  # the first walk starts at the root
+        nodes = ip_map.nodes_created
+        # 10.1.1.6 shares 30 bits with 10.1.1.4: only depths 30 and 31 are
+        # probed, and the one new node is the depth-31 node of 10.1.1.6.
+        ip_map.map_address("10.1.1.6")
+        assert CountingDict.probes == 34
+        assert ip_map.nodes_created == nodes + 1
+        assert ip_map._last_walk[0] == ip_to_int("10.1.1.6")
+        ip_map.invalidate_cache()
+        assert ip_map._last_walk == _NO_WALK

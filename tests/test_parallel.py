@@ -7,9 +7,13 @@ any rewriting happens.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+
 import pytest
 
-from repro.core import Anonymizer, AnonymizerConfig
+from repro.core import Anonymizer, AnonymizerConfig, parallel
 from repro.core.context import RuleContext
 from repro.core.engine import FreezeStats
 from repro.core.line import SegmentedLine
@@ -74,6 +78,14 @@ def _network_configs():
     configs["core1.pop3.example.net"] = JUNOS_CONFIG
     configs["isis-r1.corp.example"] = ISIS_CONFIG
     return configs
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(
+    not HAS_FORK, reason="fork start method unavailable on this platform"
+)
+#: Every snapshot transport this platform can run.
+_TRANSPORTS = (("fork",) if HAS_FORK else ()) + ("shm", "pickle")
 
 
 @pytest.fixture(scope="module")
@@ -445,12 +457,19 @@ class TestSnapshotTransports:
         self, network_configs, sequential_run
     ):
         sequential_anon, _ = sequential_run
-        anonymizer = Anonymizer(salt=b"parallel-secret")
-        anonymizer.freeze_mappings(dict(network_configs))
-        anonymize_files(
-            anonymizer, dict(network_configs), jobs=2, transport="shm"
-        )
-        assert anonymizer.report.to_dict() == sequential_anon.report.to_dict()
+        for transport in _TRANSPORTS:
+            anonymizer = Anonymizer(salt=b"parallel-secret")
+            anonymizer.freeze_mappings(dict(network_configs))
+            anonymize_files(
+                anonymizer, dict(network_configs), jobs=2, transport=transport
+            )
+            report = anonymizer.report
+            assert report.to_dict() == sequential_anon.report.to_dict()
+            assert report.seen_asns == sequential_anon.report.seen_asns
+            assert report.seen_public_ips == sequential_anon.report.seen_public_ips
+            assert dict(anonymizer.hasher.hashed_inputs) == dict(
+                sequential_anon.hasher.hashed_inputs
+            )
 
     def test_resolve_transport_rejects_unknown(self):
         from repro.core.parallel import resolve_transport
@@ -475,3 +494,80 @@ class TestSnapshotTransports:
                 chunks = _chunk_names(list(names), jobs, chunk_files)
                 flat = [name for chunk in chunks for name in chunk]
                 assert flat == names
+
+
+#: Set by TestForkWorkersStartWarm before the pool forks; workers inherit it.
+_PROBE = {}
+
+
+def _probing_chunk(tasks):
+    """``_rewrite_chunk`` plus a record of the worker's trie around it."""
+    ip_map = parallel._WORKER_ANONYMIZER.ip_map
+    before = len(ip_map._flips)
+    cold = sorted(_PROBE["preloaded"] - set(ip_map._raw_cache))
+    outcomes = _PROBE["chunk"](tasks)
+    path = os.path.join(_PROBE["dir"], "{}-{}.json".format(os.getpid(), tasks[0][0]))
+    with open(path, "w") as handle:
+        json.dump(
+            {
+                "pid": os.getpid(),
+                "cold": cold,
+                "nodes_before": before,
+                "nodes_after": len(ip_map._flips),
+            },
+            handle,
+        )
+    return outcomes
+
+
+class TestForkWorkersStartWarm:
+    """Fork workers adopt the frozen parent whole: every memo the freeze
+    filled is warm, and the worker's fault plan still starts fresh."""
+
+    @needs_fork
+    def test_no_trie_node_created_for_preloaded_addresses(
+        self, network_configs, sequential_run, monkeypatch, tmp_path
+    ):
+        anonymizer = Anonymizer(salt=b"parallel-secret")
+        anonymizer.freeze_mappings(dict(network_configs))
+        preloaded = set(anonymizer.ip_map._raw_cache)
+        assert preloaded
+        monkeypatch.setitem(_PROBE, "preloaded", preloaded)
+        monkeypatch.setitem(_PROBE, "dir", str(tmp_path))
+        monkeypatch.setitem(_PROBE, "chunk", parallel._rewrite_chunk)
+        monkeypatch.setattr(parallel, "_rewrite_chunk", _probing_chunk)
+        outputs = anonymize_files(
+            anonymizer, dict(network_configs), jobs=2, transport="fork",
+            chunk_files=2,
+        )
+        _, expected = sequential_run
+        assert outputs == {
+            original: expected.configs[renamed]
+            for original, renamed in expected.name_map.items()
+        }
+        probes = [json.loads(path.read_text()) for path in tmp_path.iterdir()]
+        assert len(probes) == len(parallel._chunk_names(sorted(network_configs), 2, 2))
+        assert os.getpid() not in {probe["pid"] for probe in probes}
+        for probe in probes:
+            assert probe["cold"] == []  # every preloaded walk is memoized
+            assert probe["nodes_after"] == probe["nodes_before"]
+
+    @needs_fork
+    def test_worker_fault_plan_starts_fresh(self):
+        # The parent's plan has already fired its one rule fault.  A fork
+        # worker must count from a fresh plan, as a restored snapshot's
+        # anonymizer does, so the fault fires again in the workers: once
+        # in each worker that ran a chunk.
+        configs = {
+            "r{}.cfg".format(index): "router bgp 701\n neighbor 6.1.1.{} remote-as 1239\n".format(index)
+            for index in range(4)
+        }
+        anonymizer = Anonymizer(AnonymizerConfig(salt=b"plan", fault_plan="rule:R10:1"))
+        anonymizer.anonymize_file(configs["r0.cfg"], source="r0.cfg")
+        assert anonymizer.fault_plan._rules_fired == {"R10"}
+        anonymizer.freeze_mappings(dict(configs))
+        outputs = anonymize_files(
+            anonymizer, dict(configs), jobs=2, transport="fork", chunk_files=2
+        )
+        assert sorted(outputs) == sorted(configs)
+        assert 1 <= anonymizer.report.lines_failed_closed <= 2
