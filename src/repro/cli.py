@@ -20,7 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.attacks.textual import scan_for_leaks
 from repro.core import Anonymizer, AnonymizerConfig
 from repro.core.rules import rule_inventory
 from repro.core.status import (
@@ -424,6 +423,8 @@ def main(argv=None) -> int:
 
     leaks_found = False
     if args.scan_leaks:
+        from repro.attacks.textual import scan_for_leaks
+
         leaks = scan_for_leaks(
             outputs,
             seen_asns=anonymizer.report.seen_asns,

@@ -27,7 +27,7 @@ from repro.configmodel.model import (
     ParsedRouter,
     ParsedStaticRoute,
 )
-from repro.netutil import ip_to_int, is_ipv4, parse_prefix
+from repro.netutil import ip_to_int, is_ipv4, looks_like_junos, parse_prefix
 
 Statement = Tuple[Tuple[str, ...], str]
 
@@ -52,14 +52,6 @@ def iter_statements(text: str) -> Iterator[Statement]:
             continue
         if line.endswith(";"):
             yield tuple(path), line[:-1].strip()
-
-
-def looks_like_junos(text: str) -> bool:
-    """Cheap syntax sniff used to pick a parser automatically."""
-    head = text[:2000]
-    return bool(re.search(r"^\s*(system|interfaces)\s*\{", head, re.M)) or (
-        head.count("{") >= 3 and ";" in head
-    )
 
 
 def parse_junos_config(text: str) -> ParsedRouter:

@@ -9,6 +9,7 @@ from repro.core.asn import AsnPermutation, is_public_asn
 from repro.core.community import CommunityAnonymizer
 from repro.core.config import AnonymizerConfig
 from repro.core.ipanon import PrefixPreservingMap
+from repro.core.regexlang import rewrite_aspath_regex, rewrite_community_regex
 from repro.core.report import AnonymizationReport
 from repro.core.strings import StringHasher
 from repro.core.tokens import TokenAnonymizer
@@ -54,8 +55,6 @@ class RuleContext:
 
     def rewrite_aspath_cached(self, pattern_text: str, anchored: bool = False):
         """Rewrite an AS-path regexp, memoized on the pattern text."""
-        from repro.core.regexlang import rewrite_aspath_regex
-
         memo = self.regex_memo
         key = ("aspath", pattern_text, anchored)
         if memo is not None:
@@ -75,8 +74,6 @@ class RuleContext:
 
     def rewrite_community_cached(self, pattern_text: str, anchored: bool = False):
         """Rewrite a community regexp, memoized on the pattern text."""
-        from repro.core.regexlang import rewrite_community_regex
-
         memo = self.regex_memo
         key = ("community", pattern_text, anchored)
         if memo is not None:

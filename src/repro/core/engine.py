@@ -51,10 +51,9 @@ from repro.core.report import AnonymizationReport
 from repro.core.junos_rules import build_junos_rules
 from repro.core.rulebase import Rule
 from repro.core.rules import build_line_rules
-from repro.configmodel.junos_parser import looks_like_junos
 from repro.core.strings import StringHasher
 from repro.core.tokens import TokenAnonymizer
-from repro.netutil import ip_to_int
+from repro.netutil import ip_to_int, looks_like_junos
 from repro.plugins.base import FinalLine
 from repro.plugins.registry import resolve_active_plugins
 

@@ -34,6 +34,7 @@ ASN machinery and the value side through the community-value permutation.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple
@@ -57,8 +58,13 @@ from repro.automata.minimize import minimize_dfa
 from repro.automata.reparse import RegexParseError, parse_regex
 from repro.core.asn import is_public_asn
 
-#: The full 16-bit ASN universe as strings (computed once).
-_UNIVERSE: Tuple[str, ...] = tuple(str(n) for n in range(65536))
+
+@functools.lru_cache(maxsize=None)
+def _universe() -> Tuple[str, ...]:
+    """The full 16-bit ASN universe as strings, built on the first
+    brute-force enumeration (digit-literal patterns never need it)."""
+    return tuple(str(n) for n in range(65536))
+
 
 #: Language-computation memos.  A branch's language is a pure function of
 #: its pattern text (and matching mode) — never of any salt — so one
@@ -105,12 +111,13 @@ def _node_language(node: RegexNode, anchored: bool = False) -> Set[int]:
     cached = _NODE_LANG_MEMO.get(key)
     if cached is not None:
         return cached
+    universe = _universe()
     if anchored:
         compiled = re.compile("^(?:" + body + ")$")
-        language = {n for n in range(65536) if compiled.match(_UNIVERSE[n])}
+        language = {n for n in range(65536) if compiled.match(universe[n])}
     else:
         compiled = re.compile(body)
-        language = {n for n in range(65536) if compiled.search(_UNIVERSE[n])}
+        language = {n for n in range(65536) if compiled.search(universe[n])}
     _NODE_LANG_MEMO[key] = language
     return language
 
@@ -366,22 +373,23 @@ def _side_language(node: RegexNode, side: str, anchored: bool = False) -> Set[in
     cached = _SIDE_LANG_MEMO.get(key)
     if cached is not None:
         return cached
+    universe = _universe()
     if side == "left":
         body = pattern_text + ":"
         if anchored:
             compiled = re.compile("^(?:" + body + ")")
-            language = {n for n in range(65536) if compiled.match(_UNIVERSE[n] + ":")}
+            language = {n for n in range(65536) if compiled.match(universe[n] + ":")}
         else:
             compiled = re.compile(body)
-            language = {n for n in range(65536) if compiled.search(_UNIVERSE[n] + ":")}
+            language = {n for n in range(65536) if compiled.search(universe[n] + ":")}
     else:
         body = ":" + pattern_text
         if anchored:
             compiled = re.compile("(?:" + body + ")$")
-            language = {n for n in range(65536) if compiled.search(":" + _UNIVERSE[n])}
+            language = {n for n in range(65536) if compiled.search(":" + universe[n])}
         else:
             compiled = re.compile(body)
-            language = {n for n in range(65536) if compiled.search(":" + _UNIVERSE[n])}
+            language = {n for n in range(65536) if compiled.search(":" + universe[n])}
     _SIDE_LANG_MEMO[key] = language
     return language
 

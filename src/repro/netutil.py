@@ -1,7 +1,10 @@
 """Small IPv4 utility functions shared across the library.
 
 Deliberately integer-based (an IPv4 address is a 32-bit int everywhere
-internally); strings only appear at the parse/format boundary.
+internally); strings only appear at the parse/format boundary.  Also
+home to :func:`looks_like_junos`, the syntax sniff both the engine and
+the config-model parsers use, so the engine need not import
+:mod:`repro.configmodel` for it.
 """
 
 from __future__ import annotations
@@ -186,3 +189,11 @@ def trailing_zero_bits128(value: int) -> int:
     if value == 0:
         return 128
     return (value & -value).bit_length() - 1
+
+
+def looks_like_junos(text: str) -> bool:
+    """Cheap syntax sniff used to pick a parser automatically."""
+    head = text[:2000]
+    return bool(re.search(r"^\s*(system|interfaces)\s*\{", head, re.M)) or (
+        head.count("{") >= 3 and ";" in head
+    )

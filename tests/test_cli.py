@@ -1,5 +1,11 @@
 """End-to-end tests of the repro-anonymize command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -281,3 +287,53 @@ class TestCollectFiles:
         assert main([str(config), "--salt", "s", "--out-dir", str(out_dir)]) == 0
         out = (out_dir / "latin1.cfg.anon").read_text()
         assert "router bgp" in out  # run completed despite bad bytes
+
+
+_FOOTPRINT_SCRIPT = """
+import json, sys
+import repro.cli
+
+def snapshot():
+    from repro.core import regexlang
+
+    return {
+        "configmodel": "repro.configmodel" in sys.modules,
+        "attacks": "repro.attacks" in sys.modules,
+        "universe": regexlang._universe.cache_info().currsize,
+    }
+
+loaded = "repro.core.regexlang" in sys.modules
+steps = {"import": dict(snapshot(), regexlang=loaded)}
+from repro.core import regexlang
+regexlang.rewrite_aspath_regex("_701_", lambda n: n)
+steps["literal"] = snapshot()
+regexlang.rewrite_aspath_regex("_70[0-9]_", lambda n: n)
+steps["enumerated"] = snapshot()
+print(json.dumps(steps))
+"""
+
+
+class TestImportFootprint:
+    """What ``import repro.cli`` loads: set-up a batch run pays every time."""
+
+    def test_batch_imports_only_what_it_uses(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        steps = json.loads(proc.stdout)
+        # The leak scanner and the config model load only on demand
+        # (--scan-leaks, --export-model).
+        assert not steps["import"]["configmodel"]
+        assert not steps["import"]["attacks"]
+        # Every benchmark network has an AS-path regexp, so the regexp
+        # machinery is imported up front, not inside the timed rewrite.
+        assert steps["import"]["regexlang"]
+        # The 65,536-string ASN universe is built only when a pattern
+        # needs brute-force enumeration; digit literals never do.
+        assert steps["import"]["universe"] == 0
+        assert steps["literal"]["universe"] == 0
+        assert steps["enumerated"]["universe"] == 1
+        assert not steps["enumerated"]["configmodel"]

@@ -15,12 +15,14 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Anonymizer, AnonymizerConfig
+from repro.core import dispatch as dispatch_module
 from repro.core.dispatch import CompiledDispatch, _literal_overlap
 from repro.core.rulebase import Rule, compile_gate
+from repro.plugins.registry import discover_plugins
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +209,47 @@ class TestDispatchMechanics:
         assert "CompiledDispatch(" in text and "rules=" in text
 
 
+def _reference_overlap(a, b):
+    """The plain offset loop the C-level scan must agree with: slice *b*
+    against *a* at every offset of *a*."""
+    if a == b:
+        return False
+    for offset in range(len(a)):
+        take = min(len(b), len(a) - offset)
+        if b[:take] == a[offset : offset + take]:
+            return True
+    return False
+
+
+def _plugin_compositions():
+    families = sorted(discover_plugins())
+    return [tuple(families), ()] + [(family,) for family in families]
+
+
 class TestLiteralOverlap:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(alphabet="ab0 1", max_size=7),
+        st.text(alphabet="ab0 1", max_size=7),
+    )
+    @example("", "")
+    @example("", "a")
+    @example("a", "")
+    def test_matches_offset_loop(self, a, b):
+        assert _literal_overlap(a, b) == _reference_overlap(a, b)
+
+    @pytest.mark.parametrize(
+        "plugins", _plugin_compositions(), ids=lambda p: "+".join(p) or "none"
+    )
+    def test_closure_matches_reference(self, plugins, monkeypatch):
+        engine = Anonymizer(AnonymizerConfig(salt=b"closure", plugins=plugins))
+        built = [engine._dispatch_ios, engine._dispatch_junos]
+        monkeypatch.setattr(dispatch_module, "_literal_overlap", _reference_overlap)
+        for compiled in built:
+            reference = CompiledDispatch(compiled.rules)
+            assert compiled._group_masks == reference._group_masks
+            assert compiled._literal_re.pattern == reference._literal_re.pattern
+
     def test_contained_literal_overlaps(self):
         assert _literal_overlap("set community ", "community ")
         assert _literal_overlap("set community ", "unity")
