@@ -57,9 +57,7 @@ def _timed_run(configs, jobs):
     for _ in range(REPEATS):
         anonymizer = Anonymizer(salt=b"par-bench")
         start = time.perf_counter()
-        result = anonymizer.anonymize_network(
-            dict(configs), two_pass=True, jobs=jobs
-        )
+        result = anonymizer.anonymize_network(dict(configs), jobs=jobs)
         best = min(best, time.perf_counter() - start)
         outputs = result.configs
     return best, outputs

@@ -23,7 +23,7 @@ def main() -> None:
                        num_pops=3, igp="ospf", lans_per_access=(3, 7))
     network = generate_network(spec)
     anonymizer = Anonymizer(salt=b"initech-owner-secret")
-    result = anonymizer.anonymize_network(dict(network.configs), two_pass=True)
+    result = anonymizer.anonymize_network(dict(network.configs))
 
     owner = portal.register_owner("initech-registration-token")
     print("owner registered under blind handle:", owner)

@@ -31,7 +31,7 @@ def main() -> None:
                             num_pops=2, lans_per_access=(2, 4))
     day1 = generate_network(day1_spec)
     anonymizer = Anonymizer(salt=salt)
-    result1 = anonymizer.anonymize_network(dict(day1.configs), two_pass=True)
+    result1 = anonymizer.anonymize_network(dict(day1.configs))
     save_state(anonymizer, str(state_path))
     print("day 1: anonymized {} routers, state saved ({} KB)".format(
         len(result1.configs), state_path.stat().st_size // 1024))
@@ -52,7 +52,7 @@ def main() -> None:
     )
     anonymizer2 = Anonymizer(salt=salt)
     load_state(anonymizer2, str(state_path))
-    result30 = anonymizer2.anonymize_network(dict(day30_configs), two_pass=True)
+    result30 = anonymizer2.anonymize_network(dict(day30_configs))
     save_state(anonymizer2, str(state_path))
     day30 = type("D", (), {"configs": day30_configs})()
 

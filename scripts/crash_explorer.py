@@ -296,9 +296,8 @@ def explore_runner(point: str, reference: dict, env: dict) -> str:
         out_dir = workdir / "out"
         _write_corpus(in_dir)
         # --jobs 1 keeps every write in the process the crash point
-        # kills; --two-pass freezes the mappings so the resumed rerun
-        # (which forces the freeze) stays byte-identical to the --jobs 2
-        # reference.
+        # kills; every run freezes the mappings first, so the resumed
+        # rerun stays byte-identical to the --jobs 2 reference.
         base = [
             sys.executable,
             "-m",
@@ -308,7 +307,6 @@ def explore_runner(point: str, reference: dict, env: dict) -> str:
             SALT,
             "--jobs",
             "1",
-            "--two-pass",
             "--out-dir",
             str(out_dir),
         ]

@@ -55,9 +55,7 @@ def _run(configs, plugins, jobs, disable_env=None):
         else:
             os.environ[ENV_PLUGIN_DISABLE] = disable_env
         anonymizer = Anonymizer(AnonymizerConfig(salt=SALT, plugins=plugins))
-        result = anonymizer.anonymize_network(
-            dict(configs), two_pass=True, jobs=jobs
-        )
+        result = anonymizer.anonymize_network(dict(configs), jobs=jobs)
         return {
             original: result.configs[renamed]
             for original, renamed in result.name_map.items()

@@ -78,8 +78,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="parallel rewrite workers (default 1; >1 implies the "
-        "mapping-freeze phase, output is byte-identical for any N)",
+        help="parallel rewrite workers (default 1; output is "
+        "byte-identical for any N)",
     )
     parser.add_argument(
         "--snapshot-transport",
@@ -99,21 +99,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="files per parallel worker task (0 = size automatically; "
         "chunking amortizes task overhead over small files)",
     )
-    parser.add_argument(
-        "--two-pass",
-        dest="two_pass",
-        action="store_true",
-        default=None,
-        help="freeze all mapping state in a corpus-wide first pass "
-        "(guarantees subnet shaping and file-order independence)",
-    )
-    parser.add_argument(
-        "--no-two-pass",
-        dest="two_pass",
-        action="store_false",
-        help="force single-pass anonymization even with --jobs 1 "
-        "(best-effort subnet shaping; default)",
-    )
+    # A no-op (every run freezes first); benchmarks/perf/run.py passes it.
+    parser.add_argument("--two-pass", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--state-file",
         default=None,
@@ -124,8 +111,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="skip files the run manifest records as already written with "
-        "an intact digest (implies --two-pass so the resumed output is "
-        "byte-identical to a clean run); requires --out-dir or --manifest",
+        "an intact digest (the resumed output is byte-identical to a "
+        "clean run); requires --out-dir or --manifest",
     )
     parser.add_argument(
         "--manifest",
@@ -263,23 +250,8 @@ def main(argv=None) -> int:
         parser.error("--jobs must be >= 1")
     if args.chunk_files < 0:
         parser.error("--chunk-files must be >= 0")
-    # --jobs > 1 requires the freeze phase (it is what makes parallel
-    # output order-independent); an explicit --no-two-pass contradicts it.
-    if args.jobs > 1 and args.two_pass is False:
-        parser.error("--no-two-pass cannot be combined with --jobs > 1")
-    # --resume also requires the freeze: skipped files must have been
-    # anonymized under the same corpus-wide frozen mappings the rerun
-    # uses, or the resumed corpus would not be byte-identical to a clean
-    # run.
-    if args.resume and args.two_pass is False:
-        parser.error("--no-two-pass cannot be combined with --resume")
     if args.resume and not (args.out_dir or args.manifest):
         parser.error("--resume requires --out-dir (or an explicit --manifest)")
-    two_pass = (
-        args.two_pass
-        if args.two_pass is not None
-        else (args.jobs > 1 or args.resume)
-    )
 
     if args.no_plugins and args.plugins:
         parser.error("--no-plugins cannot be combined with --plugins")
@@ -299,7 +271,6 @@ def main(argv=None) -> int:
         class_preserving=not args.no_class_preserving,
         strip_comments=not args.keep_comments,
         jobs=args.jobs,
-        two_pass=two_pass,
         snapshot_transport=args.snapshot_transport,
         chunk_files=args.chunk_files,
         plugins=plugins,
@@ -337,8 +308,7 @@ def main(argv=None) -> int:
     if not configs:
         print("error: no readable config files found", file=sys.stderr)
         return EXIT_NO_INPUT
-    if two_pass:
-        anonymizer.freeze_mappings(configs)
+    anonymizer.freeze_mappings(configs)
 
     from repro.core.runner import (
         MANIFEST_NAME,

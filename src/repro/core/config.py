@@ -45,13 +45,9 @@ class AnonymizerConfig:
         condition of the pattern); disable only to measure its effect.
     jobs:
         Default worker count for :meth:`Anonymizer.anonymize_network`.
-        ``jobs > 1`` fans per-file rewriting out over a process pool and
-        implies the mapping-freeze phase (see ``two_pass``).
-    two_pass:
-        Default for the freeze-then-rewrite pipeline: scan the whole
-        corpus once, pre-populating every shared map, before any file is
-        rewritten.  Guarantees subnet shaping and makes the output
-        independent of file processing order.
+        ``jobs > 1`` fans per-file rewriting out over a process pool,
+        after the same corpus-wide mapping freeze every run performs;
+        output is byte-identical for every worker count.
     """
 
     salt: Union[bytes, str] = b""
@@ -70,7 +66,6 @@ class AnonymizerConfig:
     anonymize_private_asns: bool = False
     rule_prefilter: bool = True
     jobs: int = 1
-    two_pass: bool = False
     #: Rule ids to disable (used by the iterative-closure experiment of
     #: Section 6.1 to start from a deliberately incomplete rule set).
     disabled_rules: frozenset = frozenset()

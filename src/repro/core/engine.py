@@ -14,21 +14,16 @@ files of one network, which is what preserves cross-file relationships
 (the same loopback address, route-map name, or peer ASN anonymizes
 identically everywhere it appears in the network).
 
-Two pipeline shapes are supported:
-
-* **One-pass (default)** — files are rewritten in sorted order; the IP
-  trie grows as addresses are first seen, so subnet shaping is
-  best-effort and the mapping depends on file order.
-* **Freeze-then-rewrite** (``two_pass=True``, and always when
-  ``jobs > 1``) — :meth:`Anonymizer.freeze_mappings` scans the whole
-  corpus once, preloading every address (most-trailing-zeros-first, so
-  subnet shaping is guaranteed), pre-hashing the corpus vocabulary, and
-  pre-mapping ASNs/communities; the IP trie is then *frozen* (future flip
-  bits become a pure function of the owner secret).  After the freeze, a
-  file's anonymized bytes depend only on (salt, file text) — not on which
-  other files exist, their order, or which process rewrites them — which
-  is what lets :mod:`repro.core.parallel` fan rewriting out over worker
-  processes with byte-identical results.
+There is one pipeline, **freeze-then-rewrite**:
+:meth:`Anonymizer.freeze_mappings` scans the whole corpus once, preloading
+every address (most-trailing-zeros-first, so subnet shaping is
+guaranteed), pre-hashing the corpus vocabulary, and pre-mapping
+ASNs/communities; the IP trie is then *frozen* (future flip bits become a
+pure function of the owner secret).  After the freeze, a file's
+anonymized bytes depend only on (salt, file text) — not on which other
+files exist, their order, or which process rewrites them — which is what
+lets :mod:`repro.core.parallel` fan rewriting out over worker processes
+with byte-identical results.
 """
 
 from __future__ import annotations
@@ -340,23 +335,6 @@ class Anonymizer:
         ).hexdigest()[:16]
         return "! REPRO-FAIL-CLOSED {}".format(digest)
 
-    def preload_addresses(self, configs: Dict[str, str]) -> int:
-        """First pass of two-pass anonymization: pre-insert every address.
-
-        The paper's subnet-address shaping is best-effort because it
-        depends on insertion order ("whenever they are inserted before
-        colliding hosts").  Scanning the whole corpus first and inserting
-        addresses most-trailing-zeros-first guarantees every subnet
-        address is shaped, and makes the IP mapping independent of file
-        processing order (so files can then be anonymized in any order —
-        the property the paper attributes to Xu's stateless scheme).
-
-        Returns the number of distinct addresses preloaded.
-        """
-        seen = self._scan_addresses(configs)
-        self._insert_addresses(seen)
-        return len(seen)
-
     def _scan_addresses(self, configs: Dict[str, str]) -> set:
         """Every distinct valid dotted-quad value in the corpus."""
         # Dedupe the *texts* first: the same handful of addresses repeats
@@ -398,8 +376,10 @@ class Anonymizer:
     def freeze_mappings(self, configs: Dict[str, str]) -> FreezeStats:
         """Scan the whole corpus once and freeze all shared mapping state.
 
-        Generalizes :meth:`preload_addresses`: in one pass over the raw
-        text it
+        The first phase of :meth:`anonymize_network`.  The paper's
+        subnet-address shaping is best-effort because it depends on
+        insertion order ("whenever they are inserted before colliding
+        hosts"); in one pass over the raw text this
 
         1. preloads every dotted-quad address *and* every address encoded
            in an IS-IS NET system id into the IP trie
@@ -476,39 +456,33 @@ class Anonymizer:
     def anonymize_network(
         self,
         configs: Dict[str, str],
-        two_pass: Optional[bool] = None,
         jobs: Optional[int] = None,
     ) -> AnonymizedNetwork:
         """Anonymize every config of a network with shared mapping state.
 
+        Runs :meth:`freeze_mappings` over the whole corpus, then rewrites
+        every file (over ``jobs`` worker processes when ``jobs > 1``;
+        default :attr:`AnonymizerConfig.jobs`).  Output is byte-identical
+        for every worker count.  A file whose rewrite raises is
+        quarantined (recorded in ``report.quarantined_files`` and absent
+        from the result) while every other file completes.
+
         File names themselves usually embed hostnames, so the returned
         mapping renames each file by hashing the alphabetic runs of its
         name through the same token pass.
-
-        ``two_pass=True`` runs :meth:`freeze_mappings` first so subnet
-        shaping is guaranteed rather than best-effort and the mapping is
-        independent of file processing order.  ``jobs > 1`` fans the
-        rewrite phase out over that many worker processes (which implies
-        the freeze); output is byte-identical for every worker count.
-        Both default to the values in :class:`AnonymizerConfig`.
         """
-        if two_pass is None:
-            two_pass = self.config.two_pass
+        from repro.core.parallel import anonymize_files
+
         if jobs is None:
             jobs = self.config.jobs
-        if jobs > 1:
-            from repro.core.parallel import anonymize_network_parallel
-
-            return anonymize_network_parallel(self, configs, jobs=jobs)
-        if two_pass:
-            self.freeze_mappings(configs)
+        self.freeze_mappings(configs)
+        outputs = anonymize_files(self, configs, jobs=jobs)
         out: Dict[str, str] = {}
         name_map: Dict[str, str] = {}
-        for name in sorted(configs):
-            anonymized = self.anonymize_text(configs[name], source=name)
+        for name in sorted(outputs):
             new_name = self.anonymize_file_name(name)
             name_map[name] = new_name
-            out[new_name] = anonymized
+            out[new_name] = outputs[name]
         return AnonymizedNetwork(configs=out, report=self.report, name_map=name_map)
 
     def anonymize_file_name(self, name: str) -> str:

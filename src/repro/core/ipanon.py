@@ -43,7 +43,13 @@ added to the data-structure":
   ``10.1.1.0``), its flip bit is pinned to zero, so subnet addresses map to
   subnet addresses whenever they are inserted before conflicting hosts
   (best-effort, exactly as the paper describes: a readability aid, not a
-  security property).
+  security property).  Only the last octet is ever pinned (depths 24 and
+  deeper).  A zero suffix says nothing about the mask: ``32.1.0.0`` may
+  be a /24 as well as a /16, and pinning all 16 of its zeros would also
+  pin the nodes its /24 neighbours share.  The mapping freeze inserts
+  addresses most-trailing-zeros-first, so in a dense network unbounded
+  pins would set nearly every node above the last octet to 0 and map
+  most addresses to themselves.
 
 The walk resumes where the previous one left off.  Two addresses that
 share their first *k* bits share the trie nodes at depths 0..*k*, so once
@@ -82,6 +88,15 @@ from repro.netutil import (
 
 #: ``_last_walk`` before any walk: no value to share a prefix with.
 _NO_WALK = (-1, 0)
+
+#: Subnet shaping pins at most this many trailing bits of an IPv4
+#: address: the last octet, the host part of a /24.
+_SHAPING_MAX_ZEROS = 8
+
+#: The IPv6 counterpart: the 80 bits below a /48 site prefix, so the
+#: site's subnet ID and interface ID stay shapeable and the routing
+#: prefix above them is never pinned.
+_SHAPING_MAX_ZEROS6 = 80
 
 
 class SpecialAddresses:
@@ -305,7 +320,7 @@ class PrefixPreservingMap:
         """How many trailing zeros of *value* qualify for shaping."""
         zeros = trailing_zero_bits(value)
         if zeros >= self.subnet_shaping_min_zeros:
-            return zeros
+            return min(zeros, _SHAPING_MAX_ZEROS)
         return 0
 
     # -- public mapping --------------------------------------------------
@@ -365,8 +380,10 @@ class Prefix6PreservingMap:
       as the paper's "netmasks, multicast" passthrough.  IPv6 configs
       carry prefix lengths, not dotted masks, so there is no mask family.
     * **Subnet shaping** pins all-zero interface-ID suffixes (at least
-      ``subnet_shaping_min_zeros`` trailing zeros) exactly as for IPv4 —
-      ``2001:db8:1::/48``-style subnet anchors keep their zero tails.
+      ``subnet_shaping_min_zeros`` trailing zeros) as for IPv4, but up
+      to 80 bits rather than 8 — ``2001:db8:1::/48``-style subnet anchors
+      keep their zero tails, and the routing prefix above a /48 is never
+      pinned.
 
     Key material uses distinct derivation domains (``ip6-trie-*``), so the
     v6 permutation is cryptographically independent of the v4 one under
@@ -477,7 +494,7 @@ class Prefix6PreservingMap:
     def _shapeable_zeros(self, value: int) -> int:
         zeros = trailing_zero_bits128(value)
         if zeros >= self.subnet_shaping_min_zeros:
-            return zeros
+            return min(zeros, _SHAPING_MAX_ZEROS6)
         return 0
 
     # -- public mapping --------------------------------------------------

@@ -1,14 +1,15 @@
 """Parallel network anonymization with frozen mapping state.
 
-The paper's corpus was 4.3M lines; the sequential pipeline processes
-files one at a time because the prefix-preserving trie's flip bits are
-drawn from an insertion-order-dependent RNG stream.  This module fans the
-rewrite phase out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-while keeping the headline guarantee:
+The paper's corpus was 4.3M lines.  :meth:`Anonymizer.anonymize_network`
+always freezes the mapping state before any file is rewritten, so a
+file's rewrite no longer depends on the prefix-preserving trie's
+insertion-order RNG stream.  This module runs the rewrite phase, fanning
+it out over a :class:`~concurrent.futures.ProcessPoolExecutor` when
+``jobs > 1``, while keeping the headline guarantee:
 
-    **parallel output is byte-identical to sequential output for any
-    worker count**, because all mapping state is frozen before any
-    rewriting happens.
+    **output is byte-identical for any worker count** (``jobs=1``
+    included), because all mapping state is frozen before any rewriting
+    happens.
 
 The pipeline:
 
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AnonymizerConfig
-from repro.core.engine import AnonymizedNetwork, Anonymizer
+from repro.core.engine import Anonymizer
 from repro.core.faults import build_fault_plan
 from repro.core.report import AnonymizationReport
 
@@ -71,7 +72,6 @@ __all__ = [
     "FrozenSnapshot",
     "SNAPSHOT_TRANSPORTS",
     "anonymize_files",
-    "anonymize_network_parallel",
     "resolve_transport",
 ]
 
@@ -420,9 +420,9 @@ def anonymize_files(
     Returns ``{original name: anonymized text}`` and folds every per-file
     report into ``anonymizer.report`` in sorted-name order (the sequential
     pipeline's order, so the merged report is identical).  The caller is
-    responsible for having run :meth:`Anonymizer.freeze_mappings` when
-    ``jobs > 1`` — without the freeze, parallel output would depend on
-    which worker first saw each address.
+    responsible for having run :meth:`Anonymizer.freeze_mappings` —
+    without the freeze, output would depend on which file (or worker)
+    first saw each address.
 
     ``transport`` picks how the frozen snapshot reaches the workers (one
     of :data:`SNAPSHOT_TRANSPORTS`) and ``chunk_files`` how many files
@@ -548,23 +548,3 @@ def anonymize_files(
             anonymizer.hasher._cache.setdefault(token, digest)
     return outputs
 
-
-def anonymize_network_parallel(
-    anonymizer: Anonymizer, configs: Dict[str, str], jobs: int = 1
-) -> AnonymizedNetwork:
-    """Freeze-then-rewrite :meth:`Anonymizer.anonymize_network`.
-
-    Byte-identical to ``anonymize_network(configs, two_pass=True)`` for
-    every ``jobs`` value (enforced by ``tests/test_parallel.py``).
-    """
-    anonymizer.freeze_mappings(configs)
-    outputs = anonymize_files(anonymizer, configs, jobs=jobs)
-    out: Dict[str, str] = {}
-    name_map: Dict[str, str] = {}
-    for name in sorted(outputs):
-        new_name = anonymizer.anonymize_file_name(name)
-        name_map[name] = new_name
-        out[new_name] = outputs[name]
-    return AnonymizedNetwork(
-        configs=out, report=anonymizer.report, name_map=name_map
-    )

@@ -293,9 +293,9 @@ def run_anonymization(
     """Anonymize *configs* and write each output atomically.
 
     The caller must already have frozen mapping state over the full
-    corpus when using ``jobs > 1`` or ``resume=True`` (the CLI forces the
-    freeze for both) — the freeze is what makes a resumed or parallel run
-    byte-identical to a clean sequential one.
+    corpus (:meth:`Anonymizer.freeze_mappings`) — the freeze is what
+    makes a resumed or parallel run byte-identical to a clean ``jobs=1``
+    one.
 
     Per-file failures never abort the run: quarantined files (engine
     error or dead worker) and failed writes are recorded in the result

@@ -311,12 +311,6 @@ def build_submit_parser() -> argparse.ArgumentParser:
         "(it is left alive afterwards)",
     )
     parser.add_argument(
-        "--no-freeze",
-        action="store_true",
-        help="skip the corpus-wide mapping freeze (output then depends on "
-        "submission order, like the one-pass CLI)",
-    )
-    parser.add_argument(
         "--out-dir", default=None, help="directory for anonymized outputs"
     )
     parser.add_argument(
@@ -431,7 +425,6 @@ def submit_main(argv=None) -> int:
                     session_id, session["salt_fingerprint"]
                 )
             )
-        if not args.no_freeze and args.session is None:
             stats = client.freeze(session_id, configs)
             print(
                 "froze mappings over {} files ({} addresses)".format(

@@ -627,9 +627,13 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
     keyed fingerprint is verified before any mutation and a mismatch is
     fail-closed (:class:`RecoveryError`).  Returns the replay outcome::
 
-        {"frozen": bool, "freeze_stats": dict|None,
+        {"frozen": bool, "frozen_implicitly": bool,
+         "freeze_stats": dict|None,
          "committed": {idempotency_key: result}, "seq": int,
          "requests_replayed": int}
+
+    ``frozen_implicitly`` is true when the session froze itself on its
+    first ``anonymize`` rather than over a client's corpus manifest.
     """
     if salt_fingerprint(anonymizer.config.salt) != recovered.salt_fingerprint:
         raise RecoveryError(
@@ -649,12 +653,14 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
                 )
             )
     frozen = False
+    frozen_implicitly = False
     freeze_stats: Optional[Dict] = None
     committed: Dict[str, Dict] = {}
     try:
         if recovered.snapshot is not None:
             import_state(anonymizer, recovered.snapshot["state"])
             frozen = bool(recovered.snapshot.get("frozen"))
+            frozen_implicitly = bool(recovered.snapshot.get("frozen_implicitly"))
             freeze_stats = recovered.snapshot.get("freeze_stats")
             snapshot_committed = recovered.snapshot.get("committed")
             if isinstance(snapshot_committed, dict):
@@ -672,6 +678,7 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
                 apply_state_delta(anonymizer, record["delta"])
                 anonymizer.mark_frozen()
                 frozen = True
+                frozen_implicitly = bool(record.get("implicit"))
                 freeze_stats = record.get("stats")
             elif op == "import":
                 import_state(anonymizer, record["state"])
@@ -691,6 +698,7 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
         anonymizer.mark_frozen()
     return {
         "frozen": frozen,
+        "frozen_implicitly": frozen_implicitly,
         "freeze_stats": freeze_stats,
         "committed": committed,
         "seq": recovered.last_seq,

@@ -7,15 +7,14 @@ point of running a daemon — the per-invocation setup cost the batch CLI
 pays on every run is paid once per session.
 
 Sessions follow the same determinism contract as the batch pipeline:
-
-* An **unfrozen** session maps lazily; output depends on request order
-  (exactly like the one-pass CLI).  Fine for exploration.
-* A **frozen** session ran :meth:`Anonymizer.freeze_mappings` over an
-  uploaded corpus manifest.  After the freeze every mapping is a pure
-  function of (salt, input), so files may be submitted in any order, over
-  any number of connections, and the output is byte-identical to the
-  batch ``--jobs N`` run over the same corpus — the service's headline
-  invariant.
+every session is frozen (:meth:`Anonymizer.freeze_mappings`) before it
+rewrites anything.  A client freezes it over an uploaded corpus manifest;
+a session that receives its first ``anonymize`` unfrozen freezes itself
+over an empty manifest.  After the freeze every mapping is a pure
+function of (salt, input), so files may be submitted in any order, over
+any number of connections, with byte-identical output — and a session
+frozen over a corpus matches the batch run over that corpus, the
+service's headline invariant.
 
 The anonymizer's shared maps are not thread-safe, so each session owns a
 lock and requests against one session serialize; different sessions
@@ -35,6 +34,7 @@ from __future__ import annotations
 import json
 import threading
 import uuid
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from repro.core import Anonymizer, AnonymizerConfig
@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 #: AnonymizerConfig knobs a client may set at session creation.  Anything
-#: else (notably ``jobs``/``two_pass``, which are batch-pipeline shape
-#: knobs, not per-session policy) is rejected with a clear error.
+#: else (notably ``jobs``, a batch-pipeline shape knob, not per-session
+#: policy) is rejected with a clear error.
 SESSION_OPTION_KEYS = frozenset(
     {
         "hash_length",
@@ -135,6 +135,12 @@ class Session:
         #: retained and re-appended before the next successful commit —
         #: replay then still sees the freeze in order.
         self._pending_freeze: Optional[Dict] = None
+        #: True once a first ``anonymize`` froze the session itself: an
+        #: explicit freeze must then be refused, even while that
+        #: empty-manifest freeze record is still pending.  Durable: the
+        #: freeze record and every snapshot carry it, so a resumed
+        #: session refuses the same way.
+        self._frozen_implicitly = False
 
     # -- journal plumbing -------------------------------------------------
 
@@ -186,7 +192,8 @@ class Session:
                     "salt_fingerprint": self.fingerprint,
                     "state": export_state(self.anonymizer),
                     "frozen": self.anonymizer.frozen,
-                    "freeze_stats": None if stats is None else _stats_dict(stats),
+                    "frozen_implicitly": self._frozen_implicitly,
+                    "freeze_stats": None if stats is None else asdict(stats),
                     "committed": self._committed,
                 },
                 fault_plan=self.anonymizer.fault_plan,
@@ -204,6 +211,7 @@ class Session:
         """Adopt the outcome of a journal replay (resume path)."""
         self._committed = dict(replay.get("committed") or {})
         self.requests_replayed = int(replay.get("requests_replayed", 0))
+        self._frozen_implicitly = bool(replay.get("frozen_implicitly"))
         stats = replay.get("freeze_stats")
         if replay.get("frozen") and stats is not None:
             self.anonymizer.last_freeze_stats = FreezeStats(**stats)
@@ -227,7 +235,7 @@ class Session:
                 "idempotent_replays": self.idempotent_replays,
                 "lines_served": self.lines_served,
                 "files_failed_closed": self.files_failed_closed,
-                "freeze_stats": None if stats is None else _stats_dict(stats),
+                "freeze_stats": None if stats is None else asdict(stats),
             }
 
     # -- lifecycle -------------------------------------------------------
@@ -241,6 +249,12 @@ class Session:
                 "freeze body must be a JSON object {name: text, ...}"
             )
         with self.lock:
+            if self._frozen_implicitly:
+                raise SessionError(
+                    "session {} has served requests, so its mappings were "
+                    "frozen by the first one; create a new session and "
+                    "freeze it before anonymizing".format(self.id)
+                )
             if self.anonymizer.frozen:
                 if self._pending_freeze is not None:
                     # The earlier freeze answered 507: its in-memory
@@ -255,31 +269,45 @@ class Session:
                     self.disk_degraded = False
                     stats = self.anonymizer.last_freeze_stats
                     return dict(
-                        {} if stats is None else _stats_dict(stats),
+                        {} if stats is None else asdict(stats),
                         frozen=True,
                     )
                 raise SessionError(
                     "session {} is already frozen; create a new session to "
                     "freeze over a different corpus".format(self.id)
                 )
-            stats = self.anonymizer.freeze_mappings(files)
-            if self.journal is not None:
-                record = {
-                    "op": "freeze",
-                    "delta": state_delta_since(self.anonymizer, self._cursor),
-                    "stats": _stats_dict(stats),
-                }
-                try:
-                    self._journal_append(record, source="<freeze>")
-                except JournalDiskError:
-                    # The in-memory freeze cannot be undone.  Retain the
-                    # exact record and advance the cursor so later deltas
-                    # exclude it; it is re-appended before the next
-                    # successful commit (or by a freeze retry above).
-                    self._pending_freeze = record
-                    self._cursor = StateCursor(self.anonymizer)
-                    raise
-        return dict(_stats_dict(stats), frozen=True)
+            stats = self._freeze_locked(files)
+        return dict(asdict(stats), frozen=True)
+
+    def _freeze_locked(
+        self, files: Dict[str, str], implicit: bool = False
+    ) -> FreezeStats:
+        """Freeze over *files* and journal it (call with the lock held).
+
+        *implicit* marks the empty-manifest freeze a first ``anonymize``
+        performs; the record carries the mark so replay restores it.
+        """
+        stats = self.anonymizer.freeze_mappings(files)
+        self._frozen_implicitly = implicit
+        if self.journal is not None:
+            record = {
+                "op": "freeze",
+                "delta": state_delta_since(self.anonymizer, self._cursor),
+                "stats": asdict(stats),
+            }
+            if implicit:
+                record["implicit"] = True
+            try:
+                self._journal_append(record, source="<freeze>")
+            except JournalDiskError:
+                # The in-memory freeze cannot be undone.  Retain the
+                # exact record and advance the cursor so later deltas
+                # exclude it; it is re-appended before the next
+                # successful commit (or by a freeze retry above).
+                self._pending_freeze = record
+                self._cursor = StateCursor(self.anonymizer)
+                raise
+        return stats
 
     # -- anonymization ---------------------------------------------------
 
@@ -312,6 +340,11 @@ class Session:
                 self.requests_served += 1
                 self._inc_metric("repro_idempotent_replays_total")
                 return dict(self._committed[idempotency_key], replayed=True)
+            if not self.anonymizer.frozen:
+                # Nobody froze this session: freeze it over an empty
+                # manifest, so flip bits are keyed hashes and the output
+                # does not depend on request order.
+                self._freeze_locked({}, implicit=True)
             try:
                 out, file_report = self.anonymizer.anonymize_file(
                     text, source=source
@@ -401,16 +434,6 @@ class Session:
                     {"op": "import", "state": json.loads(text)},
                     source="<import>",
                 )
-
-
-def _stats_dict(stats: FreezeStats) -> Dict:
-    return {
-        "addresses": stats.addresses,
-        "system_ids": stats.system_ids,
-        "words_warmed": stats.words_warmed,
-        "asns_warmed": stats.asns_warmed,
-        "communities_warmed": stats.communities_warmed,
-    }
 
 
 class SessionManager:

@@ -186,19 +186,13 @@ class TestConfigOptions:
         assert not anon.anonymize_text("router rip").endswith("\n")
 
 
-class TestTwoPassShaping:
-    def test_preload_counts_addresses(self):
-        anon = Anonymizer(salt=b"tp")
-        count = anon.preload_addresses(
-            {"r1": "ip address 6.1.1.1 255.255.255.0\nlogging 6.1.1.1\n"}
-        )
-        assert count == 2  # 6.1.1.1 + the netmask value
-
-    def test_two_pass_guarantees_subnet_shaping(self):
+class TestFreezeShaping:
+    def test_freeze_guarantees_subnet_shaping(self):
         from repro.netutil import ip_to_int, trailing_zero_bits
 
-        # Hosts appear BEFORE their subnet addresses in the file: one-pass
-        # shaping is best-effort here, two-pass must be exact.
+        # Hosts appear BEFORE their subnet addresses in the file: trie
+        # shaping in encounter order is best-effort here, the freeze makes
+        # it exact.
         config = "\n".join(
             [" ip address 10.{}.{}.{} 255.255.255.0".format(i, j, 5)
              for i in range(1, 4) for j in range(1, 4)]
@@ -206,7 +200,7 @@ class TestTwoPassShaping:
                for i in range(1, 4) for j in range(1, 4)]
         )
         anon = Anonymizer(salt=b"tp2")
-        result = anon.anonymize_network({"r1": config}, two_pass=True)
+        result = anon.anonymize_network({"r1": config})
         text = next(iter(result.configs.values()))
         import re as _re
 
@@ -215,9 +209,40 @@ class TestTwoPassShaping:
         for base in bases:
             assert trailing_zero_bits(ip_to_int(base)) >= 8, base
 
-    def test_two_pass_is_file_order_independent(self):
+    def test_dense_network_does_not_map_to_itself(self):
+        # One classful /8 with every /24 of 32.0.0.0/16 in use: the
+        # freeze inserts 32.0.0.0, 32.a.0.0, 32.a.b.0 first, and pinning
+        # their whole zero tails would leave the middle two octets of
+        # every address unchanged (and, for a quarter of salts, whole
+        # addresses).  Shaping pins only the last octet.
+        lines = ["ip route 32.0.0.0 255.0.0.0 Null0"]
+        for a in range(16):
+            for b in range(16):
+                lines.append("network 32.{}.{}.0 0.0.0.255 area 0".format(a, b))
+                for host in (1, 2, 5, 9, 130):
+                    lines.append(
+                        " ip address 32.{}.{}.{} 255.255.255.0".format(a, b, host)
+                    )
+        configs = {"r1": "\n".join(lines) + "\n"}
+        fixed = kept = total = 0
+        for salt in range(8):
+            anon = Anonymizer(salt=b"dense-%d" % salt)
+            anon.freeze_mappings(configs)
+            ip_map = anon.ip_map
+            for value in anon._scan_addresses(configs):
+                if value in ip_map.specials:
+                    continue
+                mapped = ip_map.raw_map(value)
+                total += 1
+                fixed += mapped == value
+                kept += (mapped ^ value) & 0x00FFFF00 == 0
+        assert total == 8 * 16 * 16 * 6
+        assert fixed / total < 0.01
+        assert kept / total < 0.01
+
+    def test_output_is_file_order_independent(self):
         configs_a = {"a": "logging 6.1.1.1\n", "b": "logging 6.2.2.2\n"}
         configs_b = {"b": "logging 6.2.2.2\n", "a": "logging 6.1.1.1\n"}
-        out1 = Anonymizer(salt=b"tp3").anonymize_network(dict(configs_a), two_pass=True)
-        out2 = Anonymizer(salt=b"tp3").anonymize_network(dict(configs_b), two_pass=True)
+        out1 = Anonymizer(salt=b"tp3").anonymize_network(dict(configs_a))
+        out2 = Anonymizer(salt=b"tp3").anonymize_network(dict(configs_b))
         assert out1.configs == out2.configs

@@ -432,7 +432,6 @@ class TestCliFaultInjection:
                     "s",
                     "--jobs",
                     "1",
-                    "--two-pass",
                     "--out-dir",
                     str(clean_dir),
                 ]

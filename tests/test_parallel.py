@@ -97,7 +97,7 @@ def network_configs():
 def sequential_run(network_configs):
     """The jobs=1 freeze-then-rewrite baseline every worker count must hit."""
     anonymizer = Anonymizer(salt=b"parallel-secret")
-    result = anonymizer.anonymize_network(dict(network_configs), two_pass=True, jobs=1)
+    result = anonymizer.anonymize_network(dict(network_configs), jobs=1)
     return anonymizer, result
 
 
@@ -106,9 +106,7 @@ class TestParallelByteIdentity:
     def test_output_matches_sequential(self, network_configs, sequential_run, jobs):
         _, expected = sequential_run
         anonymizer = Anonymizer(salt=b"parallel-secret")
-        result = anonymizer.anonymize_network(
-            dict(network_configs), two_pass=True, jobs=jobs
-        )
+        result = anonymizer.anonymize_network(dict(network_configs), jobs=jobs)
         assert result.configs == expected.configs
         assert result.name_map == expected.name_map
 
@@ -166,6 +164,13 @@ class TestFreezePhase:
         assert stats.words_warmed > 0
         assert stats.asns_warmed > 0
         assert anonymizer.ip_map.frozen
+
+    def test_freeze_counts_addresses(self):
+        anonymizer = Anonymizer(salt=b"tp")
+        stats = anonymizer.freeze_mappings(
+            {"r1": "ip address 6.1.1.1 255.255.255.0\nlogging 6.1.1.1\n"}
+        )
+        assert stats.addresses == 2  # 6.1.1.1 + the netmask value
 
     def test_frozen_trie_is_insertion_order_independent(self):
         addresses = ["10.1.0.0", "10.1.1.5", "10.2.3.4", "6.1.2.0", "6.1.2.9"]
@@ -322,9 +327,7 @@ class TestPluginParallelByteIdentity:
                 salt=b"eos-par", plugins=("blobs", "eos", "ipv6")
             )
         )
-        result = anonymizer.anonymize_network(
-            dict(eos_configs), two_pass=True, jobs=1
-        )
+        result = anonymizer.anonymize_network(dict(eos_configs), jobs=1)
         return {
             original: result.configs[renamed]
             for original, renamed in result.name_map.items()
@@ -339,9 +342,7 @@ class TestPluginParallelByteIdentity:
         bare = Anonymizer(
             AnonymizerConfig(salt=b"parallel-secret", plugins=())
         )
-        result = bare.anonymize_network(
-            dict(network_configs), two_pass=True, jobs=1
-        )
+        result = bare.anonymize_network(dict(network_configs), jobs=1)
         assert result.configs == expected.configs
         assert result.name_map == expected.name_map
 
@@ -370,14 +371,6 @@ class TestPluginParallelByteIdentity:
 
 
 class TestCliFlags:
-    def test_no_two_pass_conflicts_with_jobs(self, tmp_path, capsys):
-        from repro.cli import main
-
-        config = tmp_path / "r1.cfg"
-        config.write_text("router bgp 701\n")
-        with pytest.raises(SystemExit):
-            main([str(config), "--salt", "s", "--jobs", "2", "--no-two-pass"])
-
     def test_jobs_flag_end_to_end(self, tmp_path):
         from repro.cli import main
 
@@ -391,8 +384,7 @@ class TestCliFlags:
         out_par = tmp_path / "out-par"
         assert (
             main(
-                [str(tmp_path), "--salt", "s", "--two-pass",
-                 "--out-dir", str(out_seq)]
+                [str(tmp_path), "--salt", "s", "--out-dir", str(out_seq)]
             )
             == 0
         )

@@ -385,6 +385,25 @@ class TestIPv6PrefixPreservation:
         assert mapped & ((1 << 80) - 1) == 0
         assert int_to_ip6(mapped).endswith("::")
 
+    def test_dense_freeze_does_not_pin_routing_prefix(self):
+        # Every /48 of 2001:db8::/40 in use, inserted the way the freeze
+        # scan inserts them (most trailing zeros first): bits 32-47 must
+        # not come out unchanged, as they would if each zero tail below
+        # 2001:db8:: were pinned in full.
+        values = [ip6_to_int("2001:db8::")]
+        for site in range(256):
+            base = ip6_to_int("2001:db8:{:x}::".format(site))
+            values += [base, base | (1 << 64), base | (1 << 64) | 1]
+        field = ((1 << 16) - 1) << 80
+        kept = total = 0
+        for salt in range(4):
+            mapper = Prefix6PreservingMap(b"dense6-%d" % salt)
+            for value in sorted(set(values), key=lambda v: (-(v & -v).bit_length(), v)):
+                mapped = mapper.map_int(value)
+                total += 1
+                kept += (mapped ^ value) & field == 0
+        assert kept / total < 0.01
+
 
 # ---------------------------------------------------------------------------
 # Blob fail-closed behavior
@@ -433,9 +452,7 @@ class TestEosCorpusRoundTrip:
         anonymizer = Anonymizer(
             AnonymizerConfig(salt=b"eos-e2e", plugins=BUILTIN_FAMILIES)
         )
-        result = anonymizer.anonymize_network(
-            dict(eos_network.configs), two_pass=True
-        )
+        result = anonymizer.anonymize_network(dict(eos_network.configs))
         report = anonymizer.report
         leaks = scan_for_leaks(
             result.configs,
@@ -451,9 +468,7 @@ class TestEosCorpusRoundTrip:
         anonymizer = Anonymizer(
             AnonymizerConfig(salt=b"eos-e2e", plugins=BUILTIN_FAMILIES)
         )
-        result = anonymizer.anonymize_network(
-            dict(eos_network.configs), two_pass=True
-        )
+        result = anonymizer.anonymize_network(dict(eos_network.configs))
         originals = set()
         for text in eos_network.configs.values():
             for match in CANDIDATE_RE.finditer(text):
@@ -476,7 +491,7 @@ class TestEosCorpusRoundTrip:
         anonymizer = Anonymizer(
             AnonymizerConfig(salt=b"eos-e2e", plugins=BUILTIN_FAMILIES)
         )
-        anonymizer.anonymize_network(dict(eos_network.configs), two_pass=True)
+        anonymizer.anonymize_network(dict(eos_network.configs))
         values = set()
         for text in eos_network.configs.values():
             for match in CANDIDATE_RE.finditer(text):
@@ -499,7 +514,7 @@ class TestEosCorpusRoundTrip:
         anonymizer = Anonymizer(
             AnonymizerConfig(salt=b"eos-e2e", plugins=BUILTIN_FAMILIES)
         )
-        anonymizer.anonymize_network(dict(eos_network.configs), two_pass=True)
+        anonymizer.anonymize_network(dict(eos_network.configs))
         hits = anonymizer.report.rule_hits
         for rule_id in ("V1", "E1", "E2", "E3", "B1", "B2", "B3"):
             assert hits.get(rule_id, 0) > 0, (

@@ -184,7 +184,7 @@ class TestRecovery:
 
         journal_path = store.sessions_dir / session.id / "journal.jsonl"
         lines = journal_path.read_bytes().splitlines(keepends=True)
-        assert len(lines) == 2
+        assert len(lines) == 3  # the first request's implicit freeze + 2
         # Flip bytes inside the FIRST record: this cannot be a torn tail.
         lines[0] = lines[0][:20] + b"XX" + lines[0][22:]
         journal_path.write_bytes(b"".join(lines))
@@ -264,26 +264,25 @@ class TestRecovery:
     def test_restored_then_frozen_matches_uninterrupted(
         self, tmp_path, figure1_text
     ):
-        """The satellite invariant: warm up, restart, resume, freeze —
-        byte-identical to the same operations without the restart."""
+        """Restart, resume, freeze, warm up, restart again — byte-identical
+        to the same operations without the restarts."""
         corpus = _corpus(figure1_text)
-        # Uninterrupted reference: warm-up request, freeze, full corpus.
+        # Uninterrupted reference: freeze, warm-up request, full corpus.
         ref_manager = SessionManager()
         ref = ref_manager.create(SALT)
-        ref.anonymize(corpus["siteA/cr1.cfg"], source="siteA/cr1.cfg")
         ref.freeze(corpus)
+        ref.anonymize(corpus["siteA/cr1.cfg"], source="siteA/cr1.cfg")
         expected = {
             name: ref.anonymize(text, source=name)["text"]
             for name, text in sorted(corpus.items())
         }
 
-        # Same operations, with a daemon restart after the warm-up.
+        # Same operations, with a daemon restart before the freeze.
         # snapshot_every=1 forces the snapshot path into the replay too.
         manager, store, _ = _durable_manager(
             tmp_path / "state", snapshot_every=1
         )
         session = manager.create(SALT)
-        session.anonymize(corpus["siteA/cr1.cfg"], source="siteA/cr1.cfg")
         manager.close_all()
 
         manager2, _, metrics2 = _durable_manager(
@@ -291,14 +290,14 @@ class TestRecovery:
         )
         restored = manager2.resume(SALT, session.id)
         restored.freeze(corpus)
-        outputs = {
-            name: restored.anonymize(text, source=name)["text"]
-            for name, text in sorted(corpus.items())
-        }
-        assert outputs == expected
+        restored.anonymize(corpus["siteA/cr1.cfg"], source="siteA/cr1.cfg")
         assert metrics2.counter_value("repro_session_recoveries_total") == 1
+        # A client-frozen session answers a re-freeze "already frozen",
+        # which RetryingServiceClient.freeze converges on.
+        with pytest.raises(SessionError, match="already frozen"):
+            restored.freeze(corpus)
 
-        # ...and a second restart after the freeze preserves frozenness.
+        # ...and a restart after the warm-up preserves frozenness.
         manager2.close_all()
         manager3, _, _ = _durable_manager(
             tmp_path / "state", snapshot_every=1
@@ -456,6 +455,117 @@ class TestIdempotency:
         assert restored.describe()["requests_replayed"] == 1
         again = restored.anonymize(figure1_text, source="fine.cfg")
         assert again["text"] == ok["text"]
+        manager2.close_all()
+
+
+class TestFreezeStatsDurability:
+    V6_CORPUS = {"r1.cfg": "interface Loopback0\n ipv6 address 2001:db8:1::1/64\n"}
+
+    @pytest.mark.parametrize("snapshot_every", [1, 64])
+    def test_ipv6_count_in_response_info_and_resume(
+        self, tmp_path, snapshot_every
+    ):
+        manager, _, _ = _durable_manager(
+            tmp_path / "state", snapshot_every=snapshot_every
+        )
+        session = manager.create(SALT, {"plugins": ["ipv6"]})
+        assert session.freeze(dict(self.V6_CORPUS))["ipv6_addresses"] == 1
+        assert session.describe()["freeze_stats"]["ipv6_addresses"] == 1
+        manager.close_all()
+
+        manager2, _, _ = _durable_manager(
+            tmp_path / "state", snapshot_every=snapshot_every
+        )
+        restored = manager2.resume(SALT, session.id)
+        assert restored.describe()["freeze_stats"]["ipv6_addresses"] == 1
+        manager2.close_all()
+
+    def test_five_key_freeze_record_still_replays(self, tmp_path):
+        from repro.service.journal import _parse_line, _record_line
+
+        manager, store, _ = _durable_manager(tmp_path / "state")
+        session = manager.create(SALT, {"plugins": ["ipv6"]})
+        session.freeze(dict(self.V6_CORPUS))
+        manager.close_all()
+
+        # Rewrite the freeze record as an older daemon wrote it: the
+        # stats carried five keys and no IPv6 count.
+        journal_path = store.sessions_dir / session.id / "journal.jsonl"
+        (line,) = journal_path.read_bytes().splitlines(keepends=True)
+        record = _parse_line(line)
+        del record["stats"]["ipv6_addresses"]
+        assert len(record["stats"]) == 5
+        journal_path.write_bytes(_record_line(record))
+
+        manager2, _, _ = _durable_manager(tmp_path / "state")
+        restored = manager2.resume(SALT, session.id)
+        info = restored.describe()
+        assert info["frozen"] is True
+        assert info["freeze_stats"]["ipv6_addresses"] == 0
+        manager2.close_all()
+
+
+class TestImplicitFreezeDurability:
+    """A session that froze itself on its first request refuses an
+    explicit freeze with "served requests" after a restart too — never
+    "already frozen", which a retrying client would take for its own
+    freeze."""
+
+    @pytest.mark.parametrize("snapshot_every", [1, 64])
+    def test_refusal_survives_restart(self, tmp_path, figure1_text, snapshot_every):
+        manager, _, _ = _durable_manager(
+            tmp_path / "state", snapshot_every=snapshot_every
+        )
+        session = manager.create(SALT)
+        session.anonymize(figure1_text, source="a.cfg")
+        manager.close_all()
+
+        manager2, _, _ = _durable_manager(
+            tmp_path / "state", snapshot_every=snapshot_every
+        )
+        restored = manager2.resume(SALT, session.id)
+        with pytest.raises(SessionError, match="served requests"):
+            restored.freeze({"a.cfg": figure1_text})
+        manager2.close_all()
+
+    def test_refusal_survives_crash_before_first_record(
+        self, tmp_path, figure1_text
+    ):
+        from repro.service.journal import _parse_line, _record_line
+
+        manager, store, _ = _durable_manager(tmp_path / "state")
+        session = manager.create(SALT)
+        session.anonymize(figure1_text, source="a.cfg")
+        manager.close_all()
+
+        # Crash between the implicit freeze record and the anonymize
+        # record: only the freeze is on disk.
+        journal_path = store.sessions_dir / session.id / "journal.jsonl"
+        freeze_line, _ = journal_path.read_bytes().splitlines(keepends=True)
+        assert _parse_line(freeze_line)["implicit"] is True
+        journal_path.write_bytes(freeze_line)
+
+        manager2, _, _ = _durable_manager(tmp_path / "state")
+        restored = manager2.resume(SALT, session.id)
+        assert restored.describe()["requests_replayed"] == 0
+        with pytest.raises(SessionError, match="served requests") as err:
+            restored.freeze({"a.cfg": figure1_text})
+        assert "already frozen" not in str(err.value)
+        manager2.close_all()
+
+    def test_client_freeze_record_still_answers_already_frozen(
+        self, tmp_path, figure1_text
+    ):
+        manager, _, _ = _durable_manager(tmp_path / "state", snapshot_every=1)
+        session = manager.create(SALT)
+        session.freeze({"a.cfg": figure1_text})
+        session.anonymize(figure1_text, source="a.cfg")
+        manager.close_all()
+
+        manager2, _, _ = _durable_manager(tmp_path / "state", snapshot_every=1)
+        restored = manager2.resume(SALT, session.id)
+        with pytest.raises(SessionError, match="already frozen"):
+            restored.freeze({"a.cfg": figure1_text})
         manager2.close_all()
 
 
@@ -1008,8 +1118,11 @@ class TestDiskFaultDegradation:
         — park, heal, and replay must still lose nothing."""
         from repro.service.journal import JournalDiskError
 
+        # snapshot_every=2: the first request's implicit freeze record
+        # plus the healed record make the healing retry's append the one
+        # that rotates.
         manager, _, metrics = _durable_manager(
-            tmp_path / "state", snapshot_every=1
+            tmp_path / "state", snapshot_every=2
         )
         session = manager.create(
             SALT,
@@ -1021,7 +1134,7 @@ class TestDiskFaultDegradation:
         assert session.disk_degraded is True
 
         # The healing retry commits the record — and its snapshot
-        # rotation (snapshot_every=1) immediately hits the injected EIO.
+        # rotation immediately hits the injected EIO.
         # The request must still succeed: the journal record is durable,
         # only the rotation is skipped.
         healed = session.anonymize(figure1_text, source="full.cfg")
@@ -1032,7 +1145,7 @@ class TestDiskFaultDegradation:
             )
             == 1
         )
-        assert session.journal.appended_since_snapshot == 1
+        assert session.journal.appended_since_snapshot == 2
 
         # Both one-shot faults are spent: the next append rotates fine.
         ok = session.anonymize(figure1_text, source="fine.cfg")

@@ -129,6 +129,88 @@ class TestLifecycle:
             client.delete_session(session["id"])
 
 
+    def test_freeze_after_serving_rejected(self, service, figure1_text):
+        from repro.service.client import RetryingServiceClient
+
+        client = RetryingServiceClient(service.base_url, timeout=60, salt=SALT)
+        session = client.create_session(SALT)
+        try:
+            client.anonymize(session["id"], figure1_text, source="a.cfg")
+            with pytest.raises(ServiceClientError) as err:
+                client.freeze(session["id"], {"a.cfg": figure1_text})
+            assert err.value.status == 409
+            assert "served requests" in err.value.message
+            assert "already frozen" not in err.value.message
+        finally:
+            client.delete_session(session["id"])
+
+
+class TestOnePipeline:
+    """Every entry point computes the same function of the inputs."""
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        from tests.test_parallel import _network_configs
+
+        return _network_configs()
+
+    def test_cli_engine_and_frozen_session_agree(self, tmp_path, network):
+        from repro.cli import main
+
+        result = Anonymizer(salt=b"s").anonymize_network(dict(network))
+        expected = {
+            name: result.configs[renamed]
+            for name, renamed in result.name_map.items()
+        }
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        for name, text in network.items():
+            (in_dir / name).write_text(text)
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / ("out-j" + jobs)
+            assert main(
+                [str(in_dir), "--salt", "s", "--jobs", jobs,
+                 "--out-dir", str(out_dir)]
+            ) == 0
+            for name, text in expected.items():
+                assert (out_dir / (name + ".anon")).read_text() == text, name
+
+        session = SessionManager().create("s")
+        session.freeze(dict(network))
+        for name, text in sorted(network.items()):
+            assert session.anonymize(text, source=name)["text"] == expected[name]
+
+    def test_request_order_does_not_matter(self, tmp_path, network):
+        from repro.service.journal import SessionStore
+
+        names = sorted(network)
+
+        def serve(session, order):
+            return {
+                name: session.anonymize(network[name], source=name)["text"]
+                for name in order
+            }
+
+        forward = serve(SessionManager().create(SALT), names)
+        backward = serve(SessionManager().create(SALT), names[::-1])
+        assert backward == forward
+
+        # A durable session restarted mid-stream gives the same bytes.
+        def durable():
+            store = SessionStore(tmp_path / "state")
+            store.recover()
+            return SessionManager(store=store)
+
+        manager = durable()
+        session = manager.create(SALT)
+        resumed = serve(session, names[:5])
+        manager.close_all()
+        manager2 = durable()
+        resumed.update(serve(manager2.resume(SALT, session.id), names[5:]))
+        manager2.close_all()
+        assert resumed == forward
+
+
 class TestByteIdentity:
     """The acceptance-criteria invariant."""
 
@@ -549,7 +631,7 @@ class TestSessionManagerUnits:
     def test_option_allowlist(self):
         manager = SessionManager()
         with pytest.raises(SessionOptionsError):
-            manager.create(SALT, {"two_pass": True})
+            manager.create(SALT, {"snapshot_transport": "fork"})
         session = manager.create(SALT, {"strip_comments": False})
         assert session.anonymizer.config.strip_comments is False
 
