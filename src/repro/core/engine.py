@@ -17,13 +17,12 @@ identically everywhere it appears in the network).
 There is one pipeline, **freeze-then-rewrite**:
 :meth:`Anonymizer.freeze_mappings` scans the whole corpus once, preloading
 every address (most-trailing-zeros-first, so subnet shaping is
-guaranteed), pre-hashing the corpus vocabulary, and pre-mapping
-ASNs/communities; the IP trie is then *frozen* (future flip bits become a
-pure function of the owner secret).  After the freeze, a file's
-anonymized bytes depend only on (salt, file text) — not on which other
-files exist, their order, or which process rewrites them — which is what
-lets :mod:`repro.core.parallel` fan rewriting out over worker processes
-with byte-identical results.
+guaranteed) and pre-hashing the corpus vocabulary; the IP trie is then
+*frozen* (future flip bits become a pure function of the owner secret).
+After the freeze, a file's anonymized bytes depend only on (salt, file
+text) — not on which other files exist, their order, or which process
+rewrites them — which is what lets :mod:`repro.core.parallel` fan
+rewriting out over worker processes with byte-identical results.
 """
 
 from __future__ import annotations
@@ -48,26 +47,12 @@ from repro.core.rulebase import Rule
 from repro.core.rules import build_line_rules
 from repro.core.strings import StringHasher
 from repro.core.tokens import TokenAnonymizer
-from repro.netutil import ip_to_int, looks_like_junos
+from repro.netutil import looks_like_junos
 from repro.plugins.base import FinalLine
 from repro.plugins.registry import resolve_active_plugins
 
-#: Dotted-quad scanner used by the corpus preload (compiled once at import;
-#: it is the hot pattern of the freeze phase).
+#: Dotted-quad scanner used by the corpus preload (compiled once at import).
 DOTTED_QUAD_RE = re.compile(r"\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\b")
-
-#: Decimal-ASN contexts warmed by the freeze phase (a best-effort union of
-#: the R10-R21/J1 locating contexts; warming is a pure cache fill, so
-#: missing a context costs speed, never correctness).
-_ASN_CONTEXT_RE = re.compile(
-    r"\b(?:router bgp|remote-as|local-as|peer-as|autonomous-system|"
-    r"bgp confederation identifier|set origin egp) (\d+)\b",
-    re.IGNORECASE,
-)
-
-#: Community-shaped tokens warmed by the freeze phase.
-_COMMUNITY_TOKEN_RE = re.compile(r"\b\d{1,5}:\d{1,5}\b")
-
 
 
 @dataclass
@@ -81,13 +66,14 @@ class AnonymizedNetwork:
 
 @dataclass
 class FreezeStats:
-    """What :meth:`Anonymizer.freeze_mappings` preloaded."""
+    """What :meth:`Anonymizer.freeze_mappings` preloaded: distinct
+    addresses (dotted quads, then IS-IS system ids not among them) and
+    zero-hash words.  ASN and community memos are not preloaded; the
+    rewrite fills them on first use."""
 
     addresses: int = 0
     system_ids: int = 0
     words_warmed: int = 0
-    asns_warmed: int = 0
-    communities_warmed: int = 0
     #: Distinct IPv6 addresses preloaded by the ``ipv6`` plugin's freeze
     #: scan (0 when that family is inactive).
     ipv6_addresses: int = 0
@@ -335,20 +321,19 @@ class Anonymizer:
         ).hexdigest()[:16]
         return "! REPRO-FAIL-CLOSED {}".format(digest)
 
-    def _scan_addresses(self, configs: Dict[str, str]) -> set:
-        """Every distinct valid dotted-quad value in the corpus."""
-        # Dedupe the *texts* first: the same handful of addresses repeats
-        # thousands of times per corpus, and parsing each occurrence was
-        # the bulk of the scan's cost.
-        texts = set()
-        for text in configs.values():
-            texts.update(DOTTED_QUAD_RE.findall(text))
+    def _scan_addresses(self, words) -> set:
+        """Every distinct valid dotted-quad value among *words*.
+
+        *words* are the whitespace-split tokens of the corpus.  A match
+        holds only digits and dots, and ``\\b`` treats whitespace and the
+        ends of a string alike, so joining the distinct words with spaces
+        finds exactly the quads a scan of the texts finds.
+        """
         seen = set()
-        for quad in texts:
-            try:
-                seen.add(ip_to_int(quad))
-            except ValueError:
-                continue  # octet out of range: not an address
+        for quad in set(DOTTED_QUAD_RE.findall(" ".join(words))):
+            a, b, c, d = map(int, quad.split("."))
+            if a <= 255 and b <= 255 and c <= 255 and d <= 255:
+                seen.add(a << 24 | b << 16 | c << 8 | d)
         return seen
 
     def _scan_system_ids(self, configs: Dict[str, str]) -> set:
@@ -369,9 +354,12 @@ class Anonymizer:
         """Insert addresses most-trailing-zeros-first (shaping guarantee)."""
         from repro.netutil import trailing_zero_bits
 
-        ordered = sorted(values, key=lambda v: (-trailing_zero_bits(v), v))
+        ordered = sorted(
+            values, key=lambda v: (32 - trailing_zero_bits(v)) << 32 | v
+        )
+        map_int = self.ip_map.map_int
         for value in ordered:
-            self.ip_map.map_int(value)
+            map_int(value)
 
     def freeze_mappings(self, configs: Dict[str, str]) -> FreezeStats:
         """Scan the whole corpus once and freeze all shared mapping state.
@@ -387,18 +375,21 @@ class Anonymizer:
         2. pre-hashes the corpus vocabulary whose anonymization involves
            no salted hashing (pure pass-list words, numbers, punctuation)
            into the whole-word memo cache,
-        3. pre-maps every ASN and community token it can locate, warming
-           the Feistel memo caches,
 
         and then calls :meth:`PrefixPreservingMap.freeze` so any address
-        the scan missed still gets an order-independent mapping.  After
-        this returns, rewriting a file performs only read-only lookups on
-        the shared maps (plus pure-function cache fills), so files may be
-        rewritten in any order — or in parallel worker processes — with
-        byte-identical output.
+        the scan missed still gets an order-independent mapping.  ASNs
+        and communities need no preload: their maps are keyed
+        permutations, so the rewrite fills their memos on first use with
+        the same result.  After this returns, rewriting a file performs
+        only read-only lookups on the shared maps (plus pure-function
+        cache fills), so files may be rewritten in any order — or in
+        parallel worker processes — with byte-identical output.
         """
         stats = FreezeStats()
-        addresses = self._scan_addresses(configs)
+        words = set()
+        for text in configs.values():
+            words.update(text.split())
+        addresses = self._scan_addresses(words)
         system_ids = self._scan_system_ids(configs) - addresses
         stats.addresses = len(addresses)
         stats.system_ids = len(system_ids)
@@ -407,23 +398,7 @@ class Anonymizer:
         # Warm the vocabulary that needs no salted hash (see
         # TokenAnonymizer.warm for why hashable words are skipped).
         warm = self.token_anon.warm
-        words = set()
-        for text in configs.values():
-            words.update(text.split())
         stats.words_warmed = sum(1 for word in words if warm(word))
-
-        # Warm the ASN / community permutation caches (best-effort: these
-        # are pure keyed permutations, so a missed context just maps
-        # lazily during the rewrite).
-        for text in configs.values():
-            for match in _ASN_CONTEXT_RE.finditer(text):
-                asn = int(match.group(1))
-                if asn <= 0xFFFF:
-                    self.asn_map.map_asn(asn)
-                    stats.asns_warmed += 1
-            for match in _COMMUNITY_TOKEN_RE.finditer(text):
-                self.community.map_community(match.group(0))
-                stats.communities_warmed += 1
 
         # Plugin freeze scans (e.g. the IPv6 trie preload) run before the
         # freeze point so their insertions are order-guaranteed too.

@@ -57,13 +57,16 @@ one of them has been walked, those nodes exist and their output bits are
 known.  ``raw_map`` remembers the last walked value and its output, and
 starts the next walk at the depth where the new value diverges from it.
 The skipped levels are exactly those where a full walk would only find
-existing nodes, so node creations and RNG draws happen in the order a
-full walk from the root makes them, and ``_flips`` comes out identical,
-insertion order included.  The corpus preload inserts addresses in
-sorted runs, where neighbours share most of their bits, so most of its
-walking is skipped.  Replacing ``_flips`` on a map that has already
-walked must be followed by :meth:`PrefixPreservingMap.invalidate_cache`,
-which forgets the remembered path along with the memos.
+existing nodes.  From there it probes down to the first missing node and
+creates every deeper one without probing: each walk creates its whole
+path, so no node exists below a missing one.  Node creations and RNG
+draws happen in the order a full walk from the root makes them, and
+``_flips`` comes out identical, insertion order included.  The corpus
+preload inserts addresses in sorted runs, where neighbours share most of
+their bits, so most of its walking is skipped.  Replacing ``_flips`` on a
+map that has already walked must be followed by
+:meth:`PrefixPreservingMap.invalidate_cache`, which forgets the
+remembered path along with the memos.
 """
 
 from __future__ import annotations
@@ -172,10 +175,6 @@ class PrefixPreservingMap:
         omitted).
     """
 
-    #: Trie nodes at these (depth, path) positions are pinned to flip=0 so
-    #: classful prefixes survive: paths "", "1", "11", "111".
-    _CLASS_NODES = frozenset((depth, (1 << depth) - 1) for depth in range(4))
-
     def __init__(
         self,
         salt: Union[bytes, str] = b"",
@@ -238,18 +237,53 @@ class PrefixPreservingMap:
         depth = 32 - (value ^ last_value).bit_length() if last_value >= 0 else 0
         output = last_output >> (32 - depth)
         flips = self._flips
-        shapeable = -1  # lazily computed, shared by every node of this walk
-        for depth in range(depth, 32):
-            prefix = value >> (32 - depth)
-            key = (depth, prefix)
-            flip = flips.get(key)
+        while depth < 32:
+            flip = flips.get((depth, value >> (32 - depth)))
             if flip is None:
-                if shapeable < 0:
-                    shapeable = self._shapeable_zeros(value)
-                flip = self._new_flip(depth, prefix, value, shapeable)
-                flips[key] = flip
-            bit = (value >> (31 - depth)) & 1
-            output = (output << 1) | (bit ^ flip)
+                break
+            output = (output << 1) | (((value >> (31 - depth)) & 1) ^ flip)
+            depth += 1
+        # Every walk creates its whole path, so below the first missing
+        # node every node is missing too: create the rest in one loop.
+        if depth < 32:
+            # Class nodes, pinned to 0 so classful prefixes survive: the
+            # all-ones paths "", "1", "11", "111" at depths 0-3.
+            class_depth = 4 if self.class_preserving else 0
+            frozen = self._frozen
+            if frozen:
+                key = self._frozen_flip_key
+            else:
+                getrandbits = self._rng.getrandbits
+                pin_depth = 32
+                if self.subnet_shaping:
+                    pin_depth -= self._shapeable_zeros(value)
+            for depth in range(depth, 32):
+                prefix = value >> (32 - depth)
+                class_node = depth < class_depth and prefix == (1 << depth) - 1
+                if frozen:
+                    # Post-freeze flip bits are a pure function of (secret,
+                    # depth, prefix) -- never of `value` or of RNG position
+                    # -- so a node gets the same bit no matter which address
+                    # creates it first, in which process.  The shaping pin
+                    # is deliberately NOT applied: it depends on the
+                    # creating address's zero suffix, which would
+                    # reintroduce order dependence.  Shaping is best-effort
+                    # for addresses the freeze scan missed (per the paper),
+                    # and exact for everything it preloaded.
+                    if class_node:
+                        flip = 0
+                    else:
+                        material = b"%d:%d" % (depth, prefix)
+                        flip = hmac.new(key, material, hashlib.sha256).digest()[0] & 1
+                else:
+                    # Draw even for a pinned node, so the RNG stream
+                    # advances identically whatever the pins (keeps
+                    # unrelated subtrees independent of shaping decisions).
+                    flip = getrandbits(1)
+                    if class_node or depth >= pin_depth:
+                        flip = 0
+                flips[depth, prefix] = flip
+                output = (output << 1) | (((value >> (31 - depth)) & 1) ^ flip)
         self._raw_cache[value] = output
         self._last_walk = (value, output)
         return output
@@ -282,39 +316,6 @@ class PrefixPreservingMap:
     @property
     def frozen(self) -> bool:
         return self._frozen
-
-    def _new_flip(
-        self, depth: int, prefix: int, value: int, shapeable: int = -1
-    ) -> int:
-        if self._frozen:
-            # Post-freeze flip bits are a pure function of (secret, depth,
-            # prefix) — never of `value` or of RNG position — so a node
-            # gets the same bit no matter which address creates it first,
-            # in which process.  The subnet-shaping pin is deliberately
-            # NOT applied here: it depends on the creating address's zero
-            # suffix, which would reintroduce order dependence.  Shaping
-            # is best-effort for addresses the freeze scan missed (per the
-            # paper), and exact for everything it preloaded.
-            material = b"%d:%d" % (depth, prefix)
-            digest = hmac.new(self._frozen_flip_key, material, hashlib.sha256)
-            if self.class_preserving and (depth, prefix) in self._CLASS_NODES:
-                return 0
-            return digest.digest()[0] & 1
-        # Draw first so the RNG stream advances identically whether or not
-        # a shaping constraint pins this node (keeps unrelated subtrees
-        # independent of shaping decisions).
-        drawn = self._rng.getrandbits(1)
-        if self.class_preserving and (depth, prefix) in self._CLASS_NODES:
-            return 0
-        if self.subnet_shaping:
-            remaining = value & ((1 << (32 - depth)) - 1)
-            zero_suffix_len = 32 - depth
-            if remaining == 0:
-                if shapeable < 0:
-                    shapeable = self._shapeable_zeros(value)
-                if zero_suffix_len <= shapeable:
-                    return 0
-        return drawn
 
     def _shapeable_zeros(self, value: int) -> int:
         """How many trailing zeros of *value* qualify for shaping."""
@@ -437,24 +438,38 @@ class Prefix6PreservingMap:
             return cached
         if not 0 <= value <= IPV6_MAX:
             raise ValueError("not a 128-bit address: {!r}".format(value))
-        # Resume below the prefix shared with the last walk (see
-        # PrefixPreservingMap.raw_map).
+        # Resume below the prefix shared with the last walk, then create
+        # the missing tail in one loop (see PrefixPreservingMap.raw_map).
         last_value, last_output = self._last_walk
         depth = 128 - (value ^ last_value).bit_length() if last_value >= 0 else 0
         output = last_output >> (128 - depth)
         flips = self._flips
-        shapeable = -1
-        for depth in range(depth, 128):
-            prefix = value >> (128 - depth)
-            key = (depth, prefix)
-            flip = flips.get(key)
+        while depth < 128:
+            flip = flips.get((depth, value >> (128 - depth)))
             if flip is None:
-                if shapeable < 0:
-                    shapeable = self._shapeable_zeros(value)
-                flip = self._new_flip(depth, prefix, value, shapeable)
-                flips[key] = flip
-            bit = (value >> (127 - depth)) & 1
-            output = (output << 1) | (bit ^ flip)
+                break
+            output = (output << 1) | (((value >> (127 - depth)) & 1) ^ flip)
+            depth += 1
+        if depth < 128:
+            frozen = self._frozen
+            if frozen:
+                key = self._frozen_flip_key
+            else:
+                getrandbits = self._rng.getrandbits
+                pin_depth = 128
+                if self.subnet_shaping:
+                    pin_depth -= self._shapeable_zeros(value)
+            for depth in range(depth, 128):
+                prefix = value >> (128 - depth)
+                if frozen:
+                    material = b"%d:%d" % (depth, prefix)
+                    flip = hmac.new(key, material, hashlib.sha256).digest()[0] & 1
+                else:
+                    flip = getrandbits(1)
+                    if depth >= pin_depth:
+                        flip = 0
+                flips[depth, prefix] = flip
+                output = (output << 1) | (((value >> (127 - depth)) & 1) ^ flip)
         self._raw_cache[value] = output
         self._last_walk = (value, output)
         return output
@@ -472,24 +487,6 @@ class Prefix6PreservingMap:
     @property
     def frozen(self) -> bool:
         return self._frozen
-
-    def _new_flip(
-        self, depth: int, prefix: int, value: int, shapeable: int = -1
-    ) -> int:
-        if self._frozen:
-            material = b"%d:%d" % (depth, prefix)
-            digest = hmac.new(self._frozen_flip_key, material, hashlib.sha256)
-            return digest.digest()[0] & 1
-        drawn = self._rng.getrandbits(1)
-        if self.subnet_shaping:
-            remaining = value & ((1 << (128 - depth)) - 1)
-            zero_suffix_len = 128 - depth
-            if remaining == 0:
-                if shapeable < 0:
-                    shapeable = self._shapeable_zeros(value)
-                if zero_suffix_len <= shapeable:
-                    return 0
-        return drawn
 
     def _shapeable_zeros(self, value: int) -> int:
         zeros = trailing_zero_bits128(value)

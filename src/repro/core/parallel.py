@@ -16,9 +16,9 @@ The pipeline:
 1. **Freeze** — :meth:`Anonymizer.freeze_mappings` scans the whole corpus
    once, preloads every address into the IP trie
    (most-trailing-zeros-first, guaranteeing subnet shaping), pre-hashes
-   the vocabulary, pre-maps ASNs/communities, and freezes the trie (any
-   address the scan missed maps through a pure keyed hash instead of the
-   RNG stream, so even a scanner gap cannot introduce order dependence).
+   the vocabulary, and freezes the trie (any address the scan missed maps
+   through a pure keyed hash instead of the RNG stream, so even a scanner
+   gap cannot introduce order dependence).
 2. **Publish** — the frozen parent is made visible to every worker
    **once**, via a *snapshot transport*:
 
@@ -35,9 +35,11 @@ The pipeline:
      initializer's arguments.
 
 3. **Rewrite** — a ``fork`` worker adopts the inherited anonymizer as
-   is, so every memo the freeze filled (raw trie walks, words, ASNs,
-   communities) is warm and the rule dispatch is already compiled; only
-   its fault plan is rebuilt, so injected faults count per worker.  A
+   is, so every memo the freeze filled (raw trie walks, words) is warm
+   and the rule dispatch is already compiled; ASN and community memos,
+   which the freeze leaves empty, fill lazily in each worker (keyed
+   permutations: same values in any process).  Only its fault plan is
+   rebuilt, so injected faults count per worker.  A
    ``shm`` or ``pickle`` worker builds an :class:`Anonymizer` *around*
    the snapshot's dicts (``restore(share=True)``: rules and compiled
    regexes are rebuilt in-process, the frozen dicts are adopted, not
@@ -214,10 +216,11 @@ def _init_worker(snapshot: FrozenSnapshot) -> None:
 def _init_worker_fork() -> None:
     """``fork`` transport: adopt the inherited frozen parent whole.
 
-    Every memo the freeze filled (raw trie walks, words, ASNs,
-    communities) and the compiled rule dispatch come along warm.  Only
-    the fault plan is rebuilt, so injected faults count per worker from
-    the same fresh state a restored snapshot would give.
+    Every memo the freeze filled (raw trie walks, words) and the
+    compiled rule dispatch come along warm; ASN and community memos fill
+    lazily in each worker.  Only the fault plan is rebuilt, so injected
+    faults count per worker from the same fresh state a restored
+    snapshot would give.
     """
     anonymizer = _FORK_PARENT
     anonymizer.fault_plan = build_fault_plan(anonymizer.config)

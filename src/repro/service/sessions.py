@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import threading
 import uuid
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional
 
 from repro.core import Anonymizer, AnonymizerConfig
@@ -214,7 +214,12 @@ class Session:
         self._frozen_implicitly = bool(replay.get("frozen_implicitly"))
         stats = replay.get("freeze_stats")
         if replay.get("frozen") and stats is not None:
-            self.anonymizer.last_freeze_stats = FreezeStats(**stats)
+            # Older records carry fields FreezeStats has since dropped
+            # (asns_warmed, communities_warmed): keep the known ones.
+            known = {f.name for f in fields(FreezeStats)}
+            self.anonymizer.last_freeze_stats = FreezeStats(
+                **{name: value for name, value in stats.items() if name in known}
+            )
         self._cursor = StateCursor(self.anonymizer)
 
     # -- info ------------------------------------------------------------

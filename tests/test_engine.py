@@ -229,7 +229,7 @@ class TestFreezeShaping:
             anon = Anonymizer(salt=b"dense-%d" % salt)
             anon.freeze_mappings(configs)
             ip_map = anon.ip_map
-            for value in anon._scan_addresses(configs):
+            for value in anon._scan_addresses(configs["r1"].split()):
                 if value in ip_map.specials:
                     continue
                 mapped = ip_map.raw_map(value)

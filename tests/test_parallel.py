@@ -162,7 +162,8 @@ class TestFreezePhase:
         # the corpus as a dotted quad — only the system-id scan finds it.
         assert stats.system_ids > 0
         assert stats.words_warmed > 0
-        assert stats.asns_warmed > 0
+        # ASN and community memos fill lazily during the rewrite.
+        assert not anonymizer.asn_map._seen
         assert anonymizer.ip_map.frozen
 
     def test_freeze_counts_addresses(self):

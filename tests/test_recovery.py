@@ -483,26 +483,36 @@ class TestFreezeStatsDurability:
     def test_five_key_freeze_record_still_replays(self, tmp_path):
         from repro.service.journal import _parse_line, _record_line
 
-        manager, store, _ = _durable_manager(tmp_path / "state")
-        session = manager.create(SALT, {"plugins": ["ipv6"]})
-        session.freeze(dict(self.V6_CORPUS))
-        manager.close_all()
+        # Freeze records as older daemons wrote them: five keys (no IPv6
+        # count), then six (with it).  Both carry the ASN and community
+        # warm-up counts the freeze no longer makes.
+        for shape, ipv6 in (("five-key", None), ("six-key", 1)):
+            manager, store, _ = _durable_manager(tmp_path / shape)
+            session = manager.create(SALT, {"plugins": ["ipv6"]})
+            session.freeze(dict(self.V6_CORPUS))
+            manager.close_all()
 
-        # Rewrite the freeze record as an older daemon wrote it: the
-        # stats carried five keys and no IPv6 count.
-        journal_path = store.sessions_dir / session.id / "journal.jsonl"
-        (line,) = journal_path.read_bytes().splitlines(keepends=True)
-        record = _parse_line(line)
-        del record["stats"]["ipv6_addresses"]
-        assert len(record["stats"]) == 5
-        journal_path.write_bytes(_record_line(record))
+            journal_path = store.sessions_dir / session.id / "journal.jsonl"
+            (line,) = journal_path.read_bytes().splitlines(keepends=True)
+            record = _parse_line(line)
+            stats = dict(record["stats"], asns_warmed=3, communities_warmed=4)
+            if ipv6 is None:
+                del stats["ipv6_addresses"]
+            assert len(stats) == (5 if ipv6 is None else 6)
+            record["stats"] = stats
+            journal_path.write_bytes(_record_line(record))
 
-        manager2, _, _ = _durable_manager(tmp_path / "state")
-        restored = manager2.resume(SALT, session.id)
-        info = restored.describe()
-        assert info["frozen"] is True
-        assert info["freeze_stats"]["ipv6_addresses"] == 0
-        manager2.close_all()
+            manager2, _, _ = _durable_manager(tmp_path / shape)
+            restored = manager2.resume(SALT, session.id)
+            info = restored.describe()
+            assert info["frozen"] is True
+            assert info["freeze_stats"] == {
+                "addresses": stats["addresses"],
+                "system_ids": stats["system_ids"],
+                "words_warmed": stats["words_warmed"],
+                "ipv6_addresses": ipv6 or 0,
+            }
+            manager2.close_all()
 
 
 class TestImplicitFreezeDurability:
