@@ -79,7 +79,7 @@ class AsnPermutation:
             raise ValueError("not a 16-bit ASN: {!r}".format(asn))
         if not is_public_asn(asn):
             return asn
-        # `_seen` doubles as a memo cache: the Feistel walk costs several
+        # `_seen` memoizes the mapping: the Feistel walk costs several
         # HMAC-SHA256 rounds per ASN and corpora repeat the same few ASNs
         # millions of times.
         cached = self._seen.get(asn)
@@ -104,14 +104,3 @@ class AsnPermutation:
         while not is_public_asn(mapped):
             mapped = self._feistel.decrypt(mapped)
         return mapped
-
-    @property
-    def seen_asns(self):
-        """ASNs mapped so far: original -> anonymized.
-
-        Feeds the leak scanner of Section 6.1 ("the anonymizer can record
-        all AS numbers it sees before hashing them, and then grep out all
-        lines from the anonymized configs that still include any of those
-        numbers").
-        """
-        return dict(self._seen)

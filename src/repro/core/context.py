@@ -223,7 +223,7 @@ class RuleContext:
             except ValueError:
                 cache[text] = _BAD_QUAD
                 return None
-            special = ip6_map.is_special(value)
+            special = value in ip6_map.specials
             walks = ip6_map.collision_walks
             allowed = ip6_map.collision_allowed
             mapped_value = ip6_map.map_int(value)

@@ -350,17 +350,6 @@ class Anonymizer:
                         seen.add(value)
         return seen
 
-    def _insert_addresses(self, values: set) -> None:
-        """Insert addresses most-trailing-zeros-first (shaping guarantee)."""
-        from repro.netutil import trailing_zero_bits
-
-        ordered = sorted(
-            values, key=lambda v: (32 - trailing_zero_bits(v)) << 32 | v
-        )
-        map_int = self.ip_map.map_int
-        for value in ordered:
-            map_int(value)
-
     def freeze_mappings(self, configs: Dict[str, str]) -> FreezeStats:
         """Scan the whole corpus once and freeze all shared mapping state.
 
@@ -393,7 +382,7 @@ class Anonymizer:
         system_ids = self._scan_system_ids(configs) - addresses
         stats.addresses = len(addresses)
         stats.system_ids = len(system_ids)
-        self._insert_addresses(addresses | system_ids)
+        self.ip_map.preload(addresses | system_ids)
 
         # Warm the vocabulary that needs no salted hash (see
         # TokenAnonymizer.warm for why hashable words are skipped).
@@ -409,6 +398,16 @@ class Anonymizer:
         self.last_freeze_stats = stats
         return stats
 
+    def tries(self) -> Dict[str, PrefixPreservingMap]:
+        """Every address trie this anonymizer has, keyed by the prefix of
+        its state-document fields: ``ip`` always, then ``ip6`` when the
+        ``ipv6`` plugin contributed a map.  State export, import, deltas,
+        snapshots and :meth:`mark_frozen` all iterate this."""
+        tries = {"ip": self.ip_map}
+        if self.ip6_map is not None:
+            tries["ip6"] = self.ip6_map
+        return tries
+
     def mark_frozen(self) -> None:
         """Freeze every mapping trie (the v4 map and any plugin maps).
 
@@ -416,9 +415,8 @@ class Anonymizer:
         ``ip_map.freeze()`` directly so plugin-contributed address
         families freeze in lockstep with the builtin one.
         """
-        self.ip_map.freeze()
-        if self.ip6_map is not None:
-            self.ip6_map.freeze()
+        for ip_map in self.tries().values():
+            ip_map.freeze()
 
     @property
     def frozen(self) -> bool:

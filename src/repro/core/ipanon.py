@@ -10,19 +10,25 @@ two addresses sharing a k-bit prefix and vice versa — the
 *prefix-preserving* property that keeps the ``subnet contains``
 relationship intact across a whole network's configs.
 
+One implementation, :class:`PrefixPreservingMap`, serves both address
+families: its width (32 or 128 bits) is a class attribute, and
+:class:`Prefix6PreservingMap` only sets the IPv6 width, key domains,
+specials, shaping cap and text format.
+
 The paper's three extensions, realized by "controlling how new entries are
 added to the data-structure":
 
-* **Class preservation** — the flip bits of the nodes along the all-ones
-  path at depths 0–3 are pinned to zero, so the classful-prefix bits
-  (0 / 10 / 110 / 1110 / 1111) pass through unchanged and a class-A address
-  always maps to a class-A address (old classful commands such as RIP
-  ``network`` statements stay meaningful).
-* **Special addresses pass through unchanged** — netmasks
+* **Class preservation** (IPv4 only) — the flip bits of the nodes along
+  the all-ones path at depths 0–3 are pinned to zero, so the
+  classful-prefix bits (0 / 10 / 110 / 1110 / 1111) pass through unchanged
+  and a class-A address always maps to a class-A address (old classful
+  commands such as RIP ``network`` statements stay meaningful).  IPv6 has
+  no classful addressing, so its map pins nothing.
+* **Special addresses pass through unchanged** — for IPv4, netmasks
   (``255.255.255.0``), inverse masks (``0.0.0.255``), multicast/reserved
-  (224/3) and loopback addresses are fixed points.  When a *non*-special
-  address happens to map onto a special value, ``collision_policy``
-  decides what happens:
+  (224/3) and loopback addresses are fixed points; for IPv6, ``::``,
+  ``::1`` and ``ff00::/8``.  When a *non*-special address happens to map
+  onto a special value, ``collision_policy`` decides what happens:
 
   - ``"walk"`` — the paper's behavior: recursively re-map until the value
     leaves the special set.  The paper claims this "maintains the
@@ -43,13 +49,14 @@ added to the data-structure":
   ``10.1.1.0``), its flip bit is pinned to zero, so subnet addresses map to
   subnet addresses whenever they are inserted before conflicting hosts
   (best-effort, exactly as the paper describes: a readability aid, not a
-  security property).  Only the last octet is ever pinned (depths 24 and
-  deeper).  A zero suffix says nothing about the mask: ``32.1.0.0`` may
-  be a /24 as well as a /16, and pinning all 16 of its zeros would also
-  pin the nodes its /24 neighbours share.  The mapping freeze inserts
-  addresses most-trailing-zeros-first, so in a dense network unbounded
-  pins would set nearly every node above the last octet to 0 and map
-  most addresses to themselves.
+  security property).  Only the last IPv4 octet is ever pinned (depths 24
+  and deeper); for IPv6, the 80 bits below a /48.  A zero suffix says
+  nothing about the mask: ``32.1.0.0`` may be a /24 as well as a /16, and
+  pinning all 16 of its zeros would also pin the nodes its /24 neighbours
+  share.  The mapping freeze inserts addresses most-trailing-zeros-first
+  (:meth:`PrefixPreservingMap.preload`), so in a dense network unbounded
+  pins would set nearly every node above the last octet to 0 and map most
+  addresses to themselves.
 
 The walk resumes where the previous one left off.  Two addresses that
 share their first *k* bits share the trie nodes at depths 0..*k*, so once
@@ -74,32 +81,21 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.core.secrets import derive_key, derive_seed_int, normalize_salt
 from repro.netutil import (
     IPV4_MAX,
-    IPV6_MAX,
     int_to_ip,
     int_to_ip6,
     ip6_to_int,
     ip_to_int,
     mask_for_len,
     trailing_zero_bits,
-    trailing_zero_bits128,
 )
 
 #: ``_last_walk`` before any walk: no value to share a prefix with.
 _NO_WALK = (-1, 0)
-
-#: Subnet shaping pins at most this many trailing bits of an IPv4
-#: address: the last octet, the host part of a /24.
-_SHAPING_MAX_ZEROS = 8
-
-#: The IPv6 counterpart: the 80 bits below a /48 site prefix, so the
-#: site's subnet ID and interface ID stay shapeable and the routing
-#: prefix above them is never pinned.
-_SHAPING_MAX_ZEROS6 = 80
 
 
 class SpecialAddresses:
@@ -154,8 +150,21 @@ class SpecialAddresses:
         return None
 
 
+class IPv6SpecialAddresses:
+    """The IPv6 fixed points: the unspecified address (``::``), loopback
+    (``::1``) and multicast (``ff00::/8``).  IPv6 configs carry prefix
+    lengths, not dotted masks, so there is no mask family."""
+
+    def __contains__(self, value: int) -> bool:
+        return value <= 1 or (value >> 120) == 0xFF
+
+
 class PrefixPreservingMap:
-    """Stateful prefix-preserving IPv4 anonymization map.
+    """Stateful prefix-preserving anonymization map (IPv4 by default).
+
+    The class attributes fix the address family: :attr:`bits`, the key
+    derivation domain, the subnet-shaping cap and the text format.
+    :class:`Prefix6PreservingMap` overrides only those.
 
     Parameters
     ----------
@@ -175,6 +184,19 @@ class PrefixPreservingMap:
         omitted).
     """
 
+    #: Address width in bits.
+    bits = 32
+    #: Key derivation domain: the pre-freeze RNG seed and the post-freeze
+    #: flip key are derived under ``<domain>-flip-bits`` and
+    #: ``<domain>-frozen-flip-bits``.
+    key_domain = "ip-trie"
+    #: Subnet shaping pins at most this many trailing bits: the last
+    #: octet, the host part of a /24.
+    shaping_max_zeros = 8
+    #: Text parse and format at the map_address boundary.
+    parse = staticmethod(ip_to_int)
+    format = staticmethod(int_to_ip)
+
     def __init__(
         self,
         salt: Union[bytes, str] = b"",
@@ -193,25 +215,30 @@ class PrefixPreservingMap:
             )
         self.collision_policy = collision_policy
         salt = normalize_salt(salt)
-        self._rng = random.Random(derive_seed_int(salt, "ip-trie-flip-bits"))
+        self._rng = random.Random(
+            derive_seed_int(salt, self.key_domain + "-flip-bits")
+        )
         self._flips = {}
         # value -> raw_map(value) memo.  A trie node's flip bit never
         # changes once created, so the mapping of a given value is stable
-        # for the life of the trie and the 32-level walk (32 dict probes
+        # for the life of the trie and the walk (one dict probe per level
         # plus a keyed hash per fresh node) collapses to one dict hit for
         # every repeat — the common case, since the freeze phase preloads
         # every corpus address before the rewrite starts.  Invalidated
         # only when `_flips` is *replaced* wholesale (state import).
         self._raw_cache = {}
-        # dotted-quad text -> rule-level outcome memo, owned by
-        # RuleContext.map_ip_text (stored here so it shares this trie's
-        # lifecycle: same stability argument, same invalidation).
+        # address text -> rule-level outcome memo, owned by
+        # RuleContext.map_ip_text / map_ip6_text_or_none (stored here so
+        # it shares this trie's lifecycle: same stability argument, same
+        # invalidation).
         self._text_cache = {}
         # (value, output) of the last trie walk; raw_map resumes below
         # the prefix a new value shares with it.  Reset with the memos.
         self._last_walk = _NO_WALK
         self._frozen = False
-        self._frozen_flip_key = derive_key(salt, "ip-trie-frozen-flip-bits")
+        self._frozen_flip_key = derive_key(
+            salt, self.key_domain + "-frozen-flip-bits"
+        )
         self.class_preserving = class_preserving
         self.subnet_shaping = subnet_shaping
         self.preserve_specials = preserve_specials
@@ -228,24 +255,26 @@ class PrefixPreservingMap:
         cached = self._raw_cache.get(value)
         if cached is not None:
             return cached
-        if not 0 <= value <= IPV4_MAX:
-            raise ValueError("not a 32-bit address: {!r}".format(value))
+        bits = self.bits
+        if value < 0 or value >> bits:
+            raise ValueError("not a {}-bit address: {!r}".format(bits, value))
+        low = bits - 1
         # Resume below the prefix this value shares with the last walk:
         # every node down to that depth exists, so skipping those levels
         # creates no node and draws no RNG bit a full walk would not.
         last_value, last_output = self._last_walk
-        depth = 32 - (value ^ last_value).bit_length() if last_value >= 0 else 0
-        output = last_output >> (32 - depth)
+        depth = bits - (value ^ last_value).bit_length() if last_value >= 0 else 0
+        output = last_output >> (bits - depth)
         flips = self._flips
-        while depth < 32:
-            flip = flips.get((depth, value >> (32 - depth)))
+        while depth < bits:
+            flip = flips.get((depth, value >> (bits - depth)))
             if flip is None:
                 break
-            output = (output << 1) | (((value >> (31 - depth)) & 1) ^ flip)
+            output = (output << 1) | (((value >> (low - depth)) & 1) ^ flip)
             depth += 1
         # Every walk creates its whole path, so below the first missing
         # node every node is missing too: create the rest in one loop.
-        if depth < 32:
+        if depth < bits:
             # Class nodes, pinned to 0 so classful prefixes survive: the
             # all-ones paths "", "1", "11", "111" at depths 0-3.
             class_depth = 4 if self.class_preserving else 0
@@ -254,11 +283,11 @@ class PrefixPreservingMap:
                 key = self._frozen_flip_key
             else:
                 getrandbits = self._rng.getrandbits
-                pin_depth = 32
+                pin_depth = bits
                 if self.subnet_shaping:
                     pin_depth -= self._shapeable_zeros(value)
-            for depth in range(depth, 32):
-                prefix = value >> (32 - depth)
+            for depth in range(depth, bits):
+                prefix = value >> (bits - depth)
                 class_node = depth < class_depth and prefix == (1 << depth) - 1
                 if frozen:
                     # Post-freeze flip bits are a pure function of (secret,
@@ -283,7 +312,7 @@ class PrefixPreservingMap:
                     if class_node or depth >= pin_depth:
                         flip = 0
                 flips[depth, prefix] = flip
-                output = (output << 1) | (((value >> (31 - depth)) & 1) ^ flip)
+                output = (output << 1) | (((value >> (low - depth)) & 1) ^ flip)
         self._raw_cache[value] = output
         self._last_walk = (value, output)
         return output
@@ -319,15 +348,29 @@ class PrefixPreservingMap:
 
     def _shapeable_zeros(self, value: int) -> int:
         """How many trailing zeros of *value* qualify for shaping."""
-        zeros = trailing_zero_bits(value)
+        zeros = trailing_zero_bits(value, self.bits)
         if zeros >= self.subnet_shaping_min_zeros:
-            return min(zeros, _SHAPING_MAX_ZEROS)
+            return min(zeros, self.shaping_max_zeros)
         return 0
+
+    def preload(self, values: Iterable[int]) -> None:
+        """Map *values* most-trailing-zeros-first, then by value.
+
+        Subnet addresses go in before the hosts below them, so their
+        shaping pins always apply (the freeze's shaping guarantee), and
+        the sorted runs let the resuming walk skip most levels.
+        """
+        bits = self.bits
+        map_int = self.map_int
+        for value in sorted(
+            values, key=lambda v: (bits - trailing_zero_bits(v, bits)) << bits | v
+        ):
+            map_int(value)
 
     # -- public mapping --------------------------------------------------
 
     def map_int(self, value: int) -> int:
-        """Map one 32-bit address, honoring special-address passthrough."""
+        """Map one address, honoring special-address passthrough."""
         self.addresses_mapped += 1
         if self.preserve_specials and value in self.specials:
             return value
@@ -347,173 +390,8 @@ class PrefixPreservingMap:
         return mapped
 
     def map_address(self, text: str) -> str:
-        """Map a dotted-quad string."""
-        return int_to_ip(self.map_int(ip_to_int(text)))
-
-    def map_prefix(self, text: str) -> str:
-        """Map ``a.b.c.d/len`` notation, keeping the length."""
-        addr_text, slash, len_text = text.partition("/")
-        if not slash:
-            raise ValueError("missing /len in {!r}".format(text))
-        return "{}/{}".format(self.map_address(addr_text), len_text)
-
-    @property
-    def nodes_created(self) -> int:
-        return len(self._flips)
-
-
-class Prefix6PreservingMap:
-    """Stateful prefix-preserving IPv6 anonymization map.
-
-    The 128-bit analog of :class:`PrefixPreservingMap`, contributed by the
-    ``ipv6`` recognizer plugin: the same per-node flip-bit trie, the same
-    freeze contract (pre-freeze bits from a salted RNG stream, post-freeze
-    bits a keyed hash of ``(depth, prefix)``), the same text-cache slot for
-    :class:`~repro.core.context.RuleContext` memoization — so it rides the
-    existing snapshot/journal/state machinery with only field additions.
-
-    Differences from the IPv4 map, all deliberate:
-
-    * **No class preservation.**  IPv6 has no classful addressing; there
-      is nothing to pin.
-    * **Specials** are the unspecified address (``::``), loopback
-      (``::1``) and multicast (``ff00::/8``) — fixed points, same spirit
-      as the paper's "netmasks, multicast" passthrough.  IPv6 configs
-      carry prefix lengths, not dotted masks, so there is no mask family.
-    * **Subnet shaping** pins all-zero interface-ID suffixes (at least
-      ``subnet_shaping_min_zeros`` trailing zeros) as for IPv4, but up
-      to 80 bits rather than 8 — ``2001:db8:1::/48``-style subnet anchors
-      keep their zero tails, and the routing prefix above a /48 is never
-      pinned.
-
-    Key material uses distinct derivation domains (``ip6-trie-*``), so the
-    v6 permutation is cryptographically independent of the v4 one under
-    the same owner secret.
-    """
-
-    def __init__(
-        self,
-        salt: Union[bytes, str] = b"",
-        subnet_shaping: bool = True,
-        preserve_specials: bool = True,
-        subnet_shaping_min_zeros: int = 2,
-        collision_policy: str = "allow",
-    ) -> None:
-        if collision_policy not in ("allow", "walk"):
-            raise ValueError(
-                "collision_policy must be 'allow' or 'walk', not {!r}".format(
-                    collision_policy
-                )
-            )
-        self.collision_policy = collision_policy
-        salt = normalize_salt(salt)
-        self._rng = random.Random(derive_seed_int(salt, "ip6-trie-flip-bits"))
-        self._flips = {}
-        self._raw_cache = {}
-        # IPv6 text -> rule-level outcome memo, owned by
-        # RuleContext.map_ip6_text (same lifecycle as the v4 text cache).
-        self._text_cache = {}
-        self._last_walk = _NO_WALK
-        self._frozen = False
-        self._frozen_flip_key = derive_key(salt, "ip6-trie-frozen-flip-bits")
-        self.subnet_shaping = subnet_shaping
-        self.preserve_specials = preserve_specials
-        self.subnet_shaping_min_zeros = subnet_shaping_min_zeros
-        self.collision_walks = 0
-        self.collision_allowed = 0
-        self.addresses_mapped = 0
-
-    # -- special set -----------------------------------------------------
-
-    @staticmethod
-    def is_special(value: int) -> bool:
-        return value <= 1 or (value >> 120) == 0xFF
-
-    # -- raw trie walk ---------------------------------------------------
-
-    def raw_map(self, value: int) -> int:
-        """The pure 128-level trie permutation (no special handling)."""
-        cached = self._raw_cache.get(value)
-        if cached is not None:
-            return cached
-        if not 0 <= value <= IPV6_MAX:
-            raise ValueError("not a 128-bit address: {!r}".format(value))
-        # Resume below the prefix shared with the last walk, then create
-        # the missing tail in one loop (see PrefixPreservingMap.raw_map).
-        last_value, last_output = self._last_walk
-        depth = 128 - (value ^ last_value).bit_length() if last_value >= 0 else 0
-        output = last_output >> (128 - depth)
-        flips = self._flips
-        while depth < 128:
-            flip = flips.get((depth, value >> (128 - depth)))
-            if flip is None:
-                break
-            output = (output << 1) | (((value >> (127 - depth)) & 1) ^ flip)
-            depth += 1
-        if depth < 128:
-            frozen = self._frozen
-            if frozen:
-                key = self._frozen_flip_key
-            else:
-                getrandbits = self._rng.getrandbits
-                pin_depth = 128
-                if self.subnet_shaping:
-                    pin_depth -= self._shapeable_zeros(value)
-            for depth in range(depth, 128):
-                prefix = value >> (128 - depth)
-                if frozen:
-                    material = b"%d:%d" % (depth, prefix)
-                    flip = hmac.new(key, material, hashlib.sha256).digest()[0] & 1
-                else:
-                    flip = getrandbits(1)
-                    if depth >= pin_depth:
-                        flip = 0
-                flips[depth, prefix] = flip
-                output = (output << 1) | (((value >> (127 - depth)) & 1) ^ flip)
-        self._raw_cache[value] = output
-        self._last_walk = (value, output)
-        return output
-
-    def invalidate_cache(self) -> None:
-        self._raw_cache.clear()
-        self._text_cache.clear()
-        self._last_walk = _NO_WALK
-
-    def freeze(self) -> None:
-        """Detach future flip bits from the RNG stream (see
-        :meth:`PrefixPreservingMap.freeze`; the contract is identical)."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def _shapeable_zeros(self, value: int) -> int:
-        zeros = trailing_zero_bits128(value)
-        if zeros >= self.subnet_shaping_min_zeros:
-            return min(zeros, _SHAPING_MAX_ZEROS6)
-        return 0
-
-    # -- public mapping --------------------------------------------------
-
-    def map_int(self, value: int) -> int:
-        """Map one 128-bit address, honoring special-address passthrough."""
-        self.addresses_mapped += 1
-        if self.preserve_specials and self.is_special(value):
-            return value
-        mapped = self.raw_map(value)
-        if self.preserve_specials and self.is_special(mapped):
-            if self.collision_policy == "allow":
-                self.collision_allowed += 1
-                return mapped
-            while self.is_special(mapped):
-                self.collision_walks += 1
-                mapped = self.raw_map(mapped)
-        return mapped
-
-    def map_address(self, text: str) -> str:
-        """Map IPv6 text, rendering RFC 5952 canonical output."""
-        return int_to_ip6(self.map_int(ip6_to_int(text)))
+        """Map one address's text (IPv6 output is RFC 5952 canonical)."""
+        return self.format(self.map_int(self.parse(text)))
 
     def map_prefix(self, text: str) -> str:
         """Map ``addr/len`` notation, keeping the length."""
@@ -525,3 +403,44 @@ class Prefix6PreservingMap:
     @property
     def nodes_created(self) -> int:
         return len(self._flips)
+
+
+class Prefix6PreservingMap(PrefixPreservingMap):
+    """The IPv6 map, contributed by the ``ipv6`` recognizer plugin.
+
+    The same trie, freeze contract and text-cache slot as the IPv4 map;
+    only the family differs:
+
+    * 128 bits, keyed under the ``ip6-trie-*`` domains, so the v6
+      permutation is independent of the v4 one under the same secret;
+    * no class preservation (IPv6 has no classful addressing);
+    * specials ``::``, ``::1`` and ``ff00::/8``;
+    * shaping pins up to the 80 bits below a /48 site prefix, so a site's
+      subnet ID and interface ID stay shapeable and the routing prefix
+      above them is never pinned;
+    * RFC 5952 text.
+    """
+
+    bits = 128
+    key_domain = "ip6-trie"
+    shaping_max_zeros = 80
+    parse = staticmethod(ip6_to_int)
+    format = staticmethod(int_to_ip6)
+
+    def __init__(
+        self,
+        salt: Union[bytes, str] = b"",
+        subnet_shaping: bool = True,
+        preserve_specials: bool = True,
+        subnet_shaping_min_zeros: int = 2,
+        collision_policy: str = "allow",
+    ) -> None:
+        super().__init__(
+            salt,
+            class_preserving=False,
+            subnet_shaping=subnet_shaping,
+            preserve_specials=preserve_specials,
+            specials=IPv6SpecialAddresses(),
+            subnet_shaping_min_zeros=subnet_shaping_min_zeros,
+            collision_policy=collision_policy,
+        )

@@ -92,8 +92,9 @@ class FrozenSnapshot:
     """
 
     config: AnonymizerConfig
-    ip_flips: Dict[Tuple[int, int], int]
-    ip_frozen: bool
+    #: ``(flips, frozen)`` per address trie, keyed like
+    #: :meth:`Anonymizer.tries`.
+    tries: Dict[str, Tuple[Dict[Tuple[int, int], int], bool]]
     hash_cache: Dict[str, str]
     word_cache: Dict[str, Tuple[str, int, int]]
     asn_cache: Dict[int, int]
@@ -104,16 +105,15 @@ class FrozenSnapshot:
     #: (e.g. when the parent resolved a ``plugins=None`` default against
     #: environment variables the worker might not share).
     active_plugins: Optional[Tuple[str, ...]] = None
-    ip6_flips: Optional[Dict[Tuple[int, int], int]] = None
-    ip6_frozen: bool = False
 
     @classmethod
     def capture(cls, anonymizer: Anonymizer) -> "FrozenSnapshot":
-        ip6_map = getattr(anonymizer, "ip6_map", None)
         return cls(
             config=anonymizer.config,
-            ip_flips=dict(anonymizer.ip_map._flips),
-            ip_frozen=anonymizer.ip_map.frozen,
+            tries={
+                prefix: (dict(ip_map._flips), ip_map.frozen)
+                for prefix, ip_map in anonymizer.tries().items()
+            },
             hash_cache=dict(anonymizer.hasher._cache),
             word_cache=dict(anonymizer.token_anon._word_cache),
             asn_cache=dict(anonymizer.asn_map._seen),
@@ -121,8 +121,6 @@ class FrozenSnapshot:
             active_plugins=tuple(
                 getattr(anonymizer, "active_plugin_families", ())
             ),
-            ip6_flips=None if ip6_map is None else dict(ip6_map._flips),
-            ip6_frozen=False if ip6_map is None else ip6_map.frozen,
         )
 
     def restore(self, share: bool = False) -> Anonymizer:
@@ -148,26 +146,16 @@ class FrozenSnapshot:
 
             config = replace(config, plugins=self.active_plugins)
         anonymizer = Anonymizer(config)
-        if share:
-            anonymizer.ip_map._flips = self.ip_flips
-            anonymizer.hasher._cache = self.hash_cache
-            anonymizer.token_anon._word_cache = self.word_cache
-            anonymizer.asn_map._seen = self.asn_cache
-            anonymizer.community._cache = self.community_cache
-            if self.ip6_flips is not None and anonymizer.ip6_map is not None:
-                anonymizer.ip6_map._flips = self.ip6_flips
-        else:
-            anonymizer.ip_map._flips = dict(self.ip_flips)
-            anonymizer.hasher._cache = dict(self.hash_cache)
-            anonymizer.token_anon._word_cache = dict(self.word_cache)
-            anonymizer.asn_map._seen = dict(self.asn_cache)
-            anonymizer.community._cache = dict(self.community_cache)
-            if self.ip6_flips is not None and anonymizer.ip6_map is not None:
-                anonymizer.ip6_map._flips = dict(self.ip6_flips)
-        if self.ip_frozen:
-            anonymizer.ip_map.freeze()
-        if self.ip6_frozen and anonymizer.ip6_map is not None:
-            anonymizer.ip6_map.freeze()
+        adopt = (lambda d: d) if share else dict
+        for prefix, ip_map in anonymizer.tries().items():
+            flips, frozen = self.tries[prefix]
+            ip_map._flips = adopt(flips)
+            if frozen:
+                ip_map.freeze()
+        anonymizer.hasher._cache = adopt(self.hash_cache)
+        anonymizer.token_anon._word_cache = adopt(self.word_cache)
+        anonymizer.asn_map._seen = adopt(self.asn_cache)
+        anonymizer.community._cache = adopt(self.community_cache)
         return anonymizer
 
 

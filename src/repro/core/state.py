@@ -26,7 +26,8 @@ pairs for everything mapped so far.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from itertools import islice
+from typing import Dict
 
 from repro.core.engine import Anonymizer
 
@@ -44,42 +45,74 @@ class StateError(ValueError):
     """
 
 
+def _trie_fields(prefix: str, ip_map, since: int = 0, rng: bool = True) -> Dict:
+    """One trie's state fields, ``<prefix>_trie`` (the flips past the
+    first *since*), ``<prefix>_rng_state`` (with *rng*) and
+    ``<prefix>_counters``."""
+    fields: Dict = {
+        # JSON keys must be strings; "depth:prefix" -> flip bit.
+        prefix + "_trie": {
+            "{}:{}".format(depth, node): flip
+            for (depth, node), flip in islice(ip_map._flips.items(), since, None)
+        }
+    }
+    if rng:
+        fields[prefix + "_rng_state"] = _encode_rng_state(ip_map._rng.getstate())
+    fields[prefix + "_counters"] = {
+        "collision_walks": ip_map.collision_walks,
+        "addresses_mapped": ip_map.addresses_mapped,
+    }
+    return fields
+
+
+def _decode_trie_fields(document: Dict, prefix: str, require_rng: bool) -> tuple:
+    """``(flips, rng state or None, collision_walks, addresses_mapped)``
+    from one trie's fields; raises on anything malformed."""
+    flips = {
+        (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
+        for key, flip in document[prefix + "_trie"].items()
+    }
+    rng_key = prefix + "_rng_state"
+    rng_state = None
+    if require_rng or rng_key in document:
+        rng_state = _decode_rng_state(document[rng_key])
+    counters = document[prefix + "_counters"]
+    return (
+        flips,
+        rng_state,
+        int(counters["collision_walks"]),
+        int(counters["addresses_mapped"]),
+    )
+
+
+def _present_tries(anonymizer: Anonymizer, document: Dict) -> list:
+    """The ``(prefix, map)`` pairs whose fields *document* must carry:
+    the v4 trie always, a plugin trie only where the document has it
+    (documents written without that plugin lack its fields)."""
+    return [
+        (prefix, ip_map)
+        for prefix, ip_map in anonymizer.tries().items()
+        if prefix == "ip" or prefix + "_trie" in document
+    ]
+
+
 def export_state(anonymizer: Anonymizer) -> Dict:
     """Capture the mapping state of *anonymizer* as a JSON-able dict."""
-    ip_map = anonymizer.ip_map
-    state = {
-        "format_version": STATE_FORMAT_VERSION,
-        "ip_trie": {
-            # JSON keys must be strings; "depth:prefix" -> flip bit.
-            "{}:{}".format(depth, prefix): flip
-            for (depth, prefix), flip in ip_map._flips.items()
-        },
-        "ip_rng_state": _encode_rng_state(ip_map._rng.getstate()),
-        "ip_counters": {
-            "collision_walks": ip_map.collision_walks,
-            "addresses_mapped": ip_map.addresses_mapped,
-        },
-        "hash_cache": dict(anonymizer.hasher._cache),
-        "seen_asns": sorted(anonymizer.report.seen_asns),
-        "hash_length": anonymizer.hasher.length,
+    tries = iter(anonymizer.tries().items())
+    # save_state writes keys in insertion order: the v4 trie's fields
+    # lead, any plugin trie's fields trail.
+    state = {"format_version": STATE_FORMAT_VERSION, **_trie_fields(*next(tries))}
+    state.update(
+        hash_cache=dict(anonymizer.hasher._cache),
+        seen_asns=sorted(anonymizer.report.seen_asns),
+        hash_length=anonymizer.hasher.length,
         # The recognizer plugin families active when this state was
         # written.  Import refuses a mismatch: mapping state produced
         # under one rule set must not silently serve another.
-        "active_plugins": sorted(
-            getattr(anonymizer, "active_plugin_families", ())
-        ),
-    }
-    ip6_map = getattr(anonymizer, "ip6_map", None)
-    if ip6_map is not None:
-        state["ip6_trie"] = {
-            "{}:{}".format(depth, prefix): flip
-            for (depth, prefix), flip in ip6_map._flips.items()
-        }
-        state["ip6_rng_state"] = _encode_rng_state(ip6_map._rng.getstate())
-        state["ip6_counters"] = {
-            "collision_walks": ip6_map.collision_walks,
-            "addresses_mapped": ip6_map.addresses_mapped,
-        }
+        active_plugins=sorted(getattr(anonymizer, "active_plugin_families", ())),
+    )
+    for prefix, ip_map in tries:
+        state.update(_trie_fields(prefix, ip_map))
     return state
 
 
@@ -125,28 +158,13 @@ def import_state(anonymizer: Anonymizer, state: Dict) -> None:
                     stored_plugins or "[]", active or "[]"
                 )
             )
-    ip6_map = getattr(anonymizer, "ip6_map", None)
     try:
-        flips = {
-            (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
-            for key, flip in state["ip_trie"].items()
-        }
-        rng_state = _decode_rng_state(state["ip_rng_state"])
-        collision_walks = state["ip_counters"]["collision_walks"]
-        addresses_mapped = state["ip_counters"]["addresses_mapped"]
+        tries = [
+            (ip_map, _decode_trie_fields(state, prefix, require_rng=True))
+            for prefix, ip_map in _present_tries(anonymizer, state)
+        ]
         hash_cache = dict(state["hash_cache"])
         seen_asns = {int(a) for a in state.get("seen_asns", [])}
-        ip6 = None
-        if ip6_map is not None and "ip6_trie" in state:
-            ip6 = (
-                {
-                    (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
-                    for key, flip in state["ip6_trie"].items()
-                },
-                _decode_rng_state(state["ip6_rng_state"]),
-                int(state["ip6_counters"]["collision_walks"]),
-                int(state["ip6_counters"]["addresses_mapped"]),
-            )
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise StateError(
             "state document is malformed ({}: {}); was the file truncated "
@@ -154,18 +172,12 @@ def import_state(anonymizer: Anonymizer, state: Dict) -> None:
         ) from exc
     # All fields decoded and validated before any mutation: a malformed
     # document can never leave the anonymizer half-restored.
-    ip_map = anonymizer.ip_map
-    ip_map._flips = flips
-    ip_map.invalidate_cache()  # the trie was replaced wholesale
-    ip_map._rng.setstate(rng_state)
-    ip_map.collision_walks = collision_walks
-    ip_map.addresses_mapped = addresses_mapped
-    if ip6 is not None:
-        ip6_map._flips = ip6[0]
-        ip6_map.invalidate_cache()
-        ip6_map._rng.setstate(ip6[1])
-        ip6_map.collision_walks = ip6[2]
-        ip6_map.addresses_mapped = ip6[3]
+    for ip_map, (flips, rng_state, collision_walks, addresses_mapped) in tries:
+        ip_map._flips = flips
+        ip_map.invalidate_cache()  # the trie was replaced wholesale
+        ip_map._rng.setstate(rng_state)
+        ip_map.collision_walks = collision_walks
+        ip_map.addresses_mapped = addresses_mapped
     anonymizer.hasher._cache = hash_cache
     anonymizer.report.seen_asns.update(seen_asns)
 
@@ -229,7 +241,7 @@ def load_state(anonymizer: Anonymizer, path: str) -> None:
 class StateCursor:
     """A position in an anonymizer's (append-only) mapping state.
 
-    The IP-trie flip dict and the token-hash cache only ever *gain*
+    The IP-trie flip dicts and the token-hash cache only ever *gain*
     entries (a flip bit or a hash is never rewritten), and CPython dicts
     preserve insertion order — so "everything mapped since cursor" is
     simply the entries past the recorded lengths.  ``seen_asns`` is a
@@ -238,60 +250,44 @@ class StateCursor:
     rather than full state documents.
     """
 
-    __slots__ = ("flips_len", "cache_len", "seen_asns", "ip6_flips_len")
+    __slots__ = ("flips_lens", "cache_len", "seen_asns")
 
     def __init__(self, anonymizer: Anonymizer):
-        self.flips_len = len(anonymizer.ip_map._flips)
+        #: Flip count per trie, keyed like :meth:`Anonymizer.tries`.
+        self.flips_lens = {
+            prefix: len(ip_map._flips)
+            for prefix, ip_map in anonymizer.tries().items()
+        }
         self.cache_len = len(anonymizer.hasher._cache)
         self.seen_asns = frozenset(anonymizer.report.seen_asns)
-        ip6_map = getattr(anonymizer, "ip6_map", None)
-        self.ip6_flips_len = 0 if ip6_map is None else len(ip6_map._flips)
 
 
 def state_delta_since(anonymizer: Anonymizer, cursor: StateCursor) -> Dict:
     """Mapping-state changes since *cursor*, as a JSON-able dict.
 
     Mirrors :func:`export_state` field for field, but carries only new
-    trie flips / hash-cache entries / ASNs.  The RNG state is included
-    only while the trie is unfrozen (after a freeze, flip bits are a
+    trie flips / hash-cache entries / ASNs.  A trie's RNG state is
+    included only while it is unfrozen (after a freeze, flip bits are a
     pure function of the salt and the RNG is never consulted again), and
     the small absolute counters always travel.  Applying every delta in
     order on top of a snapshot reproduces :func:`export_state` exactly.
     """
-    from itertools import islice
-
-    ip_map = anonymizer.ip_map
-    flip_items = islice(ip_map._flips.items(), cursor.flips_len, None)
     cache_items = islice(
         anonymizer.hasher._cache.items(), cursor.cache_len, None
     )
     delta: Dict = {
-        "ip_trie": {
-            "{}:{}".format(depth, prefix): flip
-            for (depth, prefix), flip in flip_items
-        },
         "hash_cache": dict(cache_items),
         "seen_asns": sorted(anonymizer.report.seen_asns - cursor.seen_asns),
-        "ip_counters": {
-            "collision_walks": ip_map.collision_walks,
-            "addresses_mapped": ip_map.addresses_mapped,
-        },
     }
-    if not ip_map.frozen:
-        delta["ip_rng_state"] = _encode_rng_state(ip_map._rng.getstate())
-    ip6_map = getattr(anonymizer, "ip6_map", None)
-    if ip6_map is not None:
-        ip6_items = islice(ip6_map._flips.items(), cursor.ip6_flips_len, None)
-        delta["ip6_trie"] = {
-            "{}:{}".format(depth, prefix): flip
-            for (depth, prefix), flip in ip6_items
-        }
-        delta["ip6_counters"] = {
-            "collision_walks": ip6_map.collision_walks,
-            "addresses_mapped": ip6_map.addresses_mapped,
-        }
-        if not ip6_map.frozen:
-            delta["ip6_rng_state"] = _encode_rng_state(ip6_map._rng.getstate())
+    for prefix, ip_map in anonymizer.tries().items():
+        delta.update(
+            _trie_fields(
+                prefix,
+                ip_map,
+                since=cursor.flips_lens.get(prefix, 0),
+                rng=not ip_map.frozen,
+            )
+        )
     return delta
 
 
@@ -309,58 +305,29 @@ def apply_state_delta(anonymizer: Anonymizer, delta: Dict) -> None:
             )
         )
     try:
-        flips = {
-            (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
-            for key, flip in delta["ip_trie"].items()
-        }
+        tries = [
+            (ip_map, _decode_trie_fields(delta, prefix, require_rng=False))
+            for prefix, ip_map in _present_tries(anonymizer, delta)
+        ]
         hash_cache = dict(delta["hash_cache"])
         seen_asns = {int(a) for a in delta.get("seen_asns", [])}
-        counters = delta["ip_counters"]
-        collision_walks = int(counters["collision_walks"])
-        addresses_mapped = int(counters["addresses_mapped"])
-        rng_state: Optional[tuple] = None
-        if "ip_rng_state" in delta:
-            rng_state = _decode_rng_state(delta["ip_rng_state"])
-        ip6_map = getattr(anonymizer, "ip6_map", None)
-        ip6 = None
-        if ip6_map is not None and "ip6_trie" in delta:
-            ip6_counters = delta["ip6_counters"]
-            ip6 = (
-                {
-                    (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
-                    for key, flip in delta["ip6_trie"].items()
-                },
-                (
-                    _decode_rng_state(delta["ip6_rng_state"])
-                    if "ip6_rng_state" in delta
-                    else None
-                ),
-                int(ip6_counters["collision_walks"]),
-                int(ip6_counters["addresses_mapped"]),
-            )
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise StateError(
             "state delta is malformed ({}: {}); was the journal record "
             "truncated or edited?".format(type(exc).__name__, exc)
         ) from exc
-    ip_map = anonymizer.ip_map
-    ip_map._flips.update(flips)
-    # Deltas only ever append nodes the journaling session created, but a
-    # replayed key could in principle collide with a locally-created node
-    # (pre-freeze RNG draws are position-dependent); drop the raw-map memo
-    # so replay can never serve a mapping computed from stale flips.
-    ip_map.invalidate_cache()
-    if rng_state is not None:
-        ip_map._rng.setstate(rng_state)
-    ip_map.collision_walks = collision_walks
-    ip_map.addresses_mapped = addresses_mapped
-    if ip6 is not None:
-        ip6_map._flips.update(ip6[0])
-        ip6_map.invalidate_cache()
-        if ip6[1] is not None:
-            ip6_map._rng.setstate(ip6[1])
-        ip6_map.collision_walks = ip6[2]
-        ip6_map.addresses_mapped = ip6[3]
+    for ip_map, (flips, rng_state, collision_walks, addresses_mapped) in tries:
+        ip_map._flips.update(flips)
+        # Deltas only ever append nodes the journaling session created,
+        # but a replayed key could in principle collide with a
+        # locally-created node (pre-freeze RNG draws are
+        # position-dependent); drop the raw-map memo so replay can never
+        # serve a mapping computed from stale flips.
+        ip_map.invalidate_cache()
+        if rng_state is not None:
+            ip_map._rng.setstate(rng_state)
+        ip_map.collision_walks = collision_walks
+        ip_map.addresses_mapped = addresses_mapped
     anonymizer.hasher._cache.update(hash_cache)
     anonymizer.report.seen_asns.update(seen_asns)
 

@@ -90,10 +90,10 @@ def wildcard_to_len(wildcard: int) -> Optional[int]:
     return mask_to_len(wildcard ^ IPV4_MAX)
 
 
-def trailing_zero_bits(value: int) -> int:
-    """Number of trailing zero bits in a 32-bit value (32 for zero)."""
+def trailing_zero_bits(value: int, width: int = 32) -> int:
+    """Number of trailing zero bits in a *width*-bit value (*width* for zero)."""
     if value == 0:
-        return 32
+        return width
     # The lowest set bit isolated; its bit position is the zero count.
     return (value & -value).bit_length() - 1
 
@@ -182,13 +182,6 @@ def parse_prefix6(text: str) -> Tuple[int, int]:
     if not 0 <= prefix_len <= 128:
         raise ValueError("bad prefix length in {!r}".format(text))
     return ip6_to_int(addr_text), prefix_len
-
-
-def trailing_zero_bits128(value: int) -> int:
-    """Number of trailing zero bits in a 128-bit value (128 for zero)."""
-    if value == 0:
-        return 128
-    return (value & -value).bit_length() - 1
 
 
 def looks_like_junos(text: str) -> bool:

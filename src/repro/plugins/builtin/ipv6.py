@@ -1,9 +1,10 @@
 """IPv6 prefix-preserving anonymization (family ``ipv6``, rules V*).
 
 Extends the paper's Section 4.3 trie scheme to 128 bits via
-:class:`~repro.core.ipanon.Prefix6PreservingMap`: same per-node flip
-bits, same freeze contract, keyed under distinct derivation domains so
-the v6 permutation is independent of the v4 one.  Output is RFC 5952
+:class:`~repro.core.ipanon.Prefix6PreservingMap`, the IPv4 trie at
+another width: same per-node flip bits, same freeze contract and preload
+order, keyed under distinct derivation domains so the v6 permutation is
+independent of the v4 one.  Output is RFC 5952
 canonical (zero-compressed, lowercase), so one address renders
 identically however the input spelled it — the cross-file consistency
 the paper requires of every mapping.
@@ -21,7 +22,7 @@ import re
 
 from repro.core.rulebase import Rule
 from repro.core.ipanon import Prefix6PreservingMap
-from repro.netutil import ip6_to_int, trailing_zero_bits128
+from repro.netutil import ip6_to_int
 from repro.plugins.base import RecognizerPlugin
 
 #: Dispatch trigger: a necessary condition of any IPv6 literal.
@@ -89,9 +90,8 @@ class IPv6Plugin(RecognizerPlugin):
         return ("ipv", "ipv6")
 
     def freeze_scan(self, anonymizer, configs, stats) -> None:
-        """Preload every corpus IPv6 address most-trailing-zeros-first
-        (the v6 analog of the v4 subnet-shaping guarantee), before the
-        trie freezes."""
+        """Preload every corpus IPv6 address into the trie before it
+        freezes, in the same shaping order as the IPv4 preload."""
         ip6_map = anonymizer.ip6_map
         if ip6_map is None:
             return
@@ -107,8 +107,7 @@ class IPv6Plugin(RecognizerPlugin):
                 values.add(ip6_to_int(token))
             except ValueError:
                 continue
-        for value in sorted(values, key=lambda v: (-trailing_zero_bits128(v), v)):
-            ip6_map.map_int(value)
+        ip6_map.preload(values)
         stats.ipv6_addresses = len(values)
 
 

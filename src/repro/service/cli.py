@@ -54,23 +54,15 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="pre-forked worker processes sharing the listening port; "
-        "sessions are sharded across them by a stable hash of the "
-        "session id (TCP only)",
+        help="pre-forked worker processes sharing the listening port "
+        "through SO_REUSEPORT; sessions are sharded across them by a "
+        "stable hash of the session id (TCP only)",
     )
     parser.add_argument(
         "--threads",
         type=int,
         default=4,
         help="anonymization worker threads per process",
-    )
-    parser.add_argument(
-        "--socket-strategy",
-        choices=("auto", "reuseport", "inherit"),
-        default="auto",
-        help="how --workers > 1 share the port: per-worker SO_REUSEPORT "
-        "sockets, one inherited pre-fork socket, or auto (reuseport "
-        "where the kernel has it)",
     )
     parser.add_argument(
         "--queue-limit",

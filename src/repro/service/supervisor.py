@@ -5,14 +5,12 @@ ceiling of the threaded daemon: a parent process binds the listening
 socket(s), forks N workers, and from then on only supervises — every
 byte of request traffic is handled inside a worker.  The design:
 
-**Socket strategy.**  With ``SO_REUSEPORT`` (Linux >= 3.9; the ``auto``
-default uses it when present) each worker binds its *own* listening
-socket to the shared address and the kernel load-balances incoming
-connections across them; the parent holds a bound-but-never-listening
-reservation socket so the port cannot be stolen while workers respawn.
-Without it (``--socket-strategy inherit``) the parent binds + listens
-once and every forked worker accepts on the inherited descriptor — one
-shared accept queue.  Either way a connection lands on an arbitrary
+**Sockets.**  Each worker binds its *own* listening socket to the
+shared address with ``SO_REUSEPORT`` (Linux >= 3.9) and the kernel
+load-balances incoming connections across them; the parent holds a
+bound-but-never-listening reservation socket so the port cannot be
+stolen while workers respawn.  A platform without ``SO_REUSEPORT``
+cannot run ``--workers > 1``.  A connection lands on an arbitrary
 worker; session *requests* are then routed by shard (below).
 
 **Sharding.**  Sessions are assigned to workers by a stable hash of the
@@ -65,7 +63,7 @@ from repro.service.sharding import (
 )
 from repro.service.watchdog import WorkerStatusBoard
 
-__all__ = ["RESPAWN_LIMIT", "resolve_socket_strategy", "run_supervisor"]
+__all__ = ["RESPAWN_LIMIT", "run_supervisor"]
 
 #: Respawns allowed per shard before the supervisor declares a crash
 #: loop and tears the daemon down (fail loudly, never fork forever).
@@ -76,18 +74,6 @@ RESPAWN_LIMIT = 20
 _FATAL_EXITS = frozenset({EXIT_RECOVERY_FAILED, EXIT_JOURNAL_CORRUPT})
 
 _READY_TIMEOUT = 60.0
-
-
-def resolve_socket_strategy(requested: str) -> str:
-    """``auto`` becomes ``reuseport`` where the kernel supports it."""
-    if requested == "auto":
-        return "reuseport" if hasattr(socket, "SO_REUSEPORT") else "inherit"
-    if requested == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-        raise ValueError(
-            "--socket-strategy reuseport requested but this platform has "
-            "no SO_REUSEPORT; use inherit"
-        )
-    return requested
 
 
 def _bind_tcp(
@@ -106,9 +92,7 @@ def _bind_tcp(
 def _worker_process(
     index: int,
     args,
-    strategy: str,
     bind_address: Tuple[str, int],
-    shared_socket: Optional[socket.socket],
     direct_socket: socket.socket,
     shard: ShardInfo,
     generation: int,
@@ -119,10 +103,7 @@ def _worker_process(
     from repro.service.journal import JournalError
     from repro.service.server import AnonymizationService
 
-    if strategy == "reuseport":
-        listen_socket = _bind_tcp(*bind_address, reuseport=True, listen=True)
-    else:
-        listen_socket = shared_socket
+    listen_socket = _bind_tcp(*bind_address, reuseport=True, listen=True)
     state_dir = (
         str(shard_state_dir(args.state_dir, index))
         if args.state_dir is not None
@@ -203,7 +184,6 @@ class _Supervisor:
     def __init__(self, args):
         self.args = args
         self.workers = args.workers
-        self.strategy = resolve_socket_strategy(args.socket_strategy)
         self.shutting_down = False
         self.pids: Dict[int, int] = {}  # pid -> shard index
         self.generations: List[int] = [0] * self.workers
@@ -214,7 +194,6 @@ class _Supervisor:
         self.watchdog_timeout = float(
             getattr(args, "watchdog_timeout", 0.0) or 0.0
         )
-        self.shared_socket: Optional[socket.socket] = None
         self.reservation: Optional[socket.socket] = None
         self.direct_sockets: List[socket.socket] = []
         self.addresses: Tuple[str, ...] = ()
@@ -224,15 +203,11 @@ class _Supervisor:
 
     def bind(self) -> None:
         host, port = self.args.host, self.args.port
-        if self.strategy == "reuseport":
-            # Bound but never listening: reserves the port across worker
-            # respawns without ever black-holing a connection (TCP SYNs
-            # are only delivered to *listening* sockets).
-            self.reservation = _bind_tcp(host, port, reuseport=True, listen=False)
-            self.bind_address = self.reservation.getsockname()[:2]
-        else:
-            self.shared_socket = _bind_tcp(host, port, listen=True)
-            self.bind_address = self.shared_socket.getsockname()[:2]
+        # Bound but never listening: reserves the port across worker
+        # respawns without ever black-holing a connection (TCP SYNs are
+        # only delivered to *listening* sockets).
+        self.reservation = _bind_tcp(host, port, reuseport=True, listen=False)
+        self.bind_address = self.reservation.getsockname()[:2]
         self.direct_sockets = [
             _bind_tcp("127.0.0.1", 0, listen=True) for _ in range(self.workers)
         ]
@@ -273,9 +248,7 @@ class _Supervisor:
                 code = _worker_process(
                     index,
                     self.args,
-                    self.strategy,
                     self.bind_address,
-                    self.shared_socket,
                     self.direct_sockets[index],
                     shard,
                     self.generations[index],
@@ -380,7 +353,7 @@ class _Supervisor:
                 return code if code is not None else EXIT_RECOVERY_FAILED
         print(
             "repro-anonymize service listening on {} ({} workers, "
-            "{} sockets)".format(self.base_url, self.workers, self.strategy),
+            "reuseport sockets)".format(self.base_url, self.workers),
             flush=True,
         )
         if self.args.ready_file:
@@ -485,12 +458,11 @@ class _Supervisor:
                 sock.close()
             except OSError:
                 pass
-        for sock in (self.shared_socket, self.reservation):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        if self.reservation is not None:
+            try:
+                self.reservation.close()
+            except OSError:
+                pass
 
 
 def run_supervisor(args) -> int:
@@ -499,6 +471,13 @@ def run_supervisor(args) -> int:
         print(
             "error: --workers > 1 requires os.fork (not available on this "
             "platform); run one daemon per port instead",
+            file=sys.stderr,
+        )
+        return EXIT_RECOVERY_FAILED
+    if not hasattr(socket, "SO_REUSEPORT"):
+        print(
+            "error: --workers > 1 needs SO_REUSEPORT (not available on "
+            "this platform); run one daemon per port instead",
             file=sys.stderr,
         )
         return EXIT_RECOVERY_FAILED
@@ -517,9 +496,4 @@ def run_supervisor(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_RECOVERY_FAILED
-    try:
-        supervisor = _Supervisor(args)
-    except ValueError as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return EXIT_RECOVERY_FAILED
-    return supervisor.run()
+    return _Supervisor(args).run()

@@ -90,11 +90,6 @@ class TestAsnPermutation:
         perm = AsnPermutation(b"inv")
         assert perm.unmap_asn(perm.map_asn(asn)) == asn
 
-    def test_seen_asns_recorded(self):
-        perm = AsnPermutation(b"k")
-        perm.map_asn(701)
-        assert 701 in perm.seen_asns
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             AsnPermutation(b"k").map_asn(70000)

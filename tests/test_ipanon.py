@@ -14,17 +14,37 @@ from repro.core.ipanon import (
     PrefixPreservingMap,
     SpecialAddresses,
 )
-from repro.netutil import address_class, ip_to_int, int_to_ip, trailing_zero_bits
+from repro.netutil import IPV6_MAX, address_class, ip_to_int, trailing_zero_bits
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
 unicast = st.integers(min_value=0x01000000, max_value=0xDFFFFFFF)
 
 
-def shared_prefix_len(a: int, b: int) -> int:
-    xor = a ^ b
-    if xor == 0:
-        return 32
-    return 32 - xor.bit_length()
+def shared_prefix_len(a: int, b: int, bits: int = 32) -> int:
+    return bits - (a ^ b).bit_length()
+
+
+def _examples(default):
+    """The hypothesis budget: *default*, or CI's raised REPRO_FUZZ_EXAMPLES."""
+    return int(os.environ.get("REPRO_FUZZ_EXAMPLES", default))
+
+
+class _V4:
+    """The IPv4 family: its map class, width and value strategies."""
+
+    make = PrefixPreservingMap
+    bits = 32
+    addresses = addresses
+    unicast = unicast
+
+
+class _V6:
+    """The IPv6 family; unicast values are drawn from 2000::/3."""
+
+    make = Prefix6PreservingMap
+    bits = 128
+    addresses = st.integers(min_value=0, max_value=IPV6_MAX)
+    unicast = st.integers(min_value=0x2000 << 112, max_value=(0x4000 << 112) - 1)
 
 
 class TestSpecialAddresses:
@@ -69,7 +89,32 @@ class TestSpecialAddresses:
         assert ip_to_int("127.0.0.1") not in specials
 
 
-class TestRawTrieMap:
+def _raw_trie_properties(family):
+    """Injectivity and exact prefix preservation of *family*'s raw trie
+    walk.  A fresh class per family, so each family's test classes hold
+    their own hypothesis tests."""
+
+    class RawTrieProperties:
+        @settings(max_examples=_examples(60), deadline=None)
+        @given(st.lists(family.addresses, min_size=2, max_size=40, unique=True))
+        def test_raw_map_injective(self, values):
+            mapping = family.make(b"prop")
+            outputs = [mapping.raw_map(v) for v in values]
+            assert len(set(outputs)) == len(values)
+
+        @settings(max_examples=_examples(80), deadline=None)
+        @given(a=family.addresses, b=family.addresses)
+        def test_prefix_preserving_property(self, a, b):
+            """shared_prefix(map(a), map(b)) == shared_prefix(a, b) exactly."""
+            mapping = family.make(b"prop", preserve_specials=False)
+            ma, mb = mapping.raw_map(a), mapping.raw_map(b)
+            bits = family.bits
+            assert shared_prefix_len(ma, mb, bits) == shared_prefix_len(a, b, bits)
+
+    return RawTrieProperties
+
+
+class TestRawTrieMap(_raw_trie_properties(_V4)):
     def test_deterministic_same_salt(self):
         a = PrefixPreservingMap(b"k")
         b = PrefixPreservingMap(b"k")
@@ -85,26 +130,20 @@ class TestRawTrieMap:
         )
         assert diffs >= 3  # overwhelming probability
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(addresses, min_size=2, max_size=40, unique=True))
-    def test_raw_map_injective(self, values):
-        mapping = PrefixPreservingMap(b"prop")
-        outputs = [mapping.raw_map(v) for v in values]
-        assert len(set(outputs)) == len(values)
-
-    @settings(max_examples=80, deadline=None)
-    @given(a=addresses, b=addresses)
-    def test_prefix_preserving_property(self, a, b):
-        """shared_prefix(map(a), map(b)) == shared_prefix(a, b) exactly."""
-        mapping = PrefixPreservingMap(b"prop", preserve_specials=False)
-        ma, mb = mapping.raw_map(a), mapping.raw_map(b)
-        assert shared_prefix_len(ma, mb) == shared_prefix_len(a, b)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             PrefixPreservingMap(b"k").raw_map(-1)
         with pytest.raises(ValueError):
             PrefixPreservingMap(b"k").raw_map(1 << 32)
+
+
+class TestRawTrieMap6(_raw_trie_properties(_V6)):
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            Prefix6PreservingMap(b"k").raw_map(-1)
+        with pytest.raises(ValueError):
+            Prefix6PreservingMap(b"k").raw_map(1 << 128)
+        assert 0 <= Prefix6PreservingMap(b"k").raw_map(IPV6_MAX) <= IPV6_MAX
 
 
 class TestClassPreservation:
@@ -125,7 +164,31 @@ class TestClassPreservation:
         assert changed > 0
 
 
-class TestSpecialHandling:
+def _collision_properties(family):
+    """Bijection under the walk policy and injectivity under the allow
+    policy, for *family* (see :func:`_raw_trie_properties`)."""
+
+    class CollisionProperties:
+        @settings(max_examples=_examples(40), deadline=None)
+        @given(st.lists(family.unicast, min_size=2, max_size=50, unique=True))
+        def test_bijection_with_cycle_walking(self, values):
+            mapping = family.make(b"bij", collision_policy="walk")
+            nonspecial = [v for v in values if v not in mapping.specials]
+            outputs = [mapping.map_int(v) for v in nonspecial]
+            assert len(set(outputs)) == len(nonspecial)
+
+        @settings(max_examples=_examples(40), deadline=None)
+        @given(st.lists(family.unicast, min_size=2, max_size=50, unique=True))
+        def test_injective_under_allow_policy(self, values):
+            mapping = family.make(b"bij2")
+            nonspecial = [v for v in values if v not in mapping.specials]
+            outputs = [mapping.map_int(v) for v in nonspecial]
+            assert len(set(outputs)) == len(nonspecial)
+
+    return CollisionProperties
+
+
+class TestSpecialHandling(_collision_properties(_V4)):
     def test_specials_are_fixed_points(self):
         mapping = PrefixPreservingMap(b"fix")
         for text in ("255.255.255.0", "0.0.0.255", "224.0.0.5",
@@ -170,22 +233,6 @@ class TestSpecialHandling:
         with pytest.raises(ValueError):
             PrefixPreservingMap(b"x", collision_policy="bogus")
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(unicast, min_size=2, max_size=50, unique=True))
-    def test_bijection_with_cycle_walking(self, values):
-        mapping = PrefixPreservingMap(b"bij", collision_policy="walk")
-        nonspecial = [v for v in values if v not in mapping.specials]
-        outputs = [mapping.map_int(v) for v in nonspecial]
-        assert len(set(outputs)) == len(nonspecial)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(unicast, min_size=2, max_size=50, unique=True))
-    def test_injective_under_allow_policy(self, values):
-        mapping = PrefixPreservingMap(b"bij2")
-        nonspecial = [v for v in values if v not in mapping.specials]
-        outputs = [mapping.map_int(v) for v in nonspecial]
-        assert len(set(outputs)) == len(nonspecial)
-
     def test_collision_counters(self):
         # Class-A inputs can collide with inverse masks (0.x.y.z region):
         # hammer the 0/1 boundary region to exercise both policies.
@@ -197,6 +244,10 @@ class TestSpecialHandling:
         assert walker.collision_walks >= 0
         assert allower.collision_walks == 0
         assert walker.map_int(23) == walker.map_int(23)
+
+
+class TestSpecialHandling6(_collision_properties(_V6)):
+    pass
 
 
 class TestSubnetShaping:
@@ -335,11 +386,6 @@ def _trie_state(ip_map):
         ip_map.collision_walks,
         ip_map.collision_allowed,
     )
-
-
-def _examples(default):
-    """The hypothesis budget: *default*, or CI's raised REPRO_FUZZ_EXAMPLES."""
-    return int(os.environ.get("REPRO_FUZZ_EXAMPLES", default))
 
 
 class TestPrefixResumingWalk:

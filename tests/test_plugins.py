@@ -481,7 +481,7 @@ class TestEosCorpusRoundTrip:
         assert originals, "the EOS corpus must actually carry IPv6"
         joined = "\n".join(result.configs.values())
         for value in originals:
-            if anonymizer.ip6_map.is_special(value):
+            if value in anonymizer.ip6_map.specials:
                 continue
             assert int_to_ip6(value) not in joined
 
@@ -501,7 +501,7 @@ class TestEosCorpusRoundTrip:
                         value = ip6_to_int(token)
                     except ValueError:
                         continue
-                    if not anonymizer.ip6_map.is_special(value):
+                    if value not in anonymizer.ip6_map.specials:
                         values.add(value)
         assert len(values) > 10
         mapped = {v: anonymizer.ip6_map.map_int(v) for v in values}

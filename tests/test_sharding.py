@@ -160,6 +160,20 @@ class TestTopologyGuard:
         assert shard_state_dir(tmp_path, 11).name == "shard-11"
 
 
+class TestReuseportRequired:
+    def test_workers_refused_without_so_reuseport(self, monkeypatch, capsys, tmp_path):
+        import argparse
+        import socket
+
+        from repro.service import supervisor
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        args = argparse.Namespace(workers=2, state_dir=str(tmp_path))
+        assert supervisor.run_supervisor(args) == EXIT_RECOVERY_FAILED
+        assert "needs SO_REUSEPORT" in capsys.readouterr().err
+        assert not (tmp_path / "topology.json").exists()
+
+
 class TestMetricsSnapshots:
     def _populated(self) -> ServiceMetrics:
         metrics = ServiceMetrics()

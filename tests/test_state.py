@@ -1,6 +1,7 @@
 """Tests for mapping-state persistence (longitudinal consistency)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +9,40 @@ from repro.core import Anonymizer, AnonymizerConfig
 from repro.core.state import (
     STATE_FORMAT_VERSION,
     StateError,
+    apply_state_delta,
     export_state,
+    export_state_json,
     import_state,
+    import_state_json,
     load_state,
     save_state,
 )
+
+#: A dual-stack EOS session recorded by an earlier version of the code;
+#: regenerate with ``PYTHONPATH=src python -m tests.test_state``.
+FIXTURE_DIR = Path(__file__).parent / "data" / "dualstack_eos"
+FIXTURE_SALT = "dualstack-fixture"
+FIXTURE_PLUGINS = ["blobs", "eos", "ipv6"]
+
+
+def record_dualstack_session(directory, configs):
+    """Drive one durable service session over *configs*: freeze over every
+    other file, then anonymize every file, so the journal holds a freeze
+    delta and post-freeze deltas for both tries.  Returns the journal
+    bytes and the session's exported state document."""
+    from repro.service.journal import SessionStore
+    from repro.service.sessions import SessionManager
+
+    manager = SessionManager(store=SessionStore(directory), snapshot_every=1000)
+    session = manager.create(FIXTURE_SALT, {"plugins": FIXTURE_PLUGINS})
+    names = sorted(configs)
+    session.freeze({name: configs[name] for name in names[::2]})
+    for name in names:
+        session.anonymize(configs[name], source=name)
+    state = session.export_state()
+    manager.close_all()
+    journal = Path(directory, "sessions", session.id, "journal.jsonl").read_bytes()
+    return journal, state
 
 
 class TestStateRoundTrip:
@@ -190,3 +220,103 @@ class TestStateCorruption:
             "10.1.2.3"
         )
         assert export_state(anonymizer) == export_state(baseline)
+
+    @pytest.mark.parametrize("prefix", ["ip", "ip6"])
+    def test_non_integer_counter_rejected(self, prefix):
+        config = AnonymizerConfig(salt=b"o", plugins=["ipv6"])
+        bad = export_state(Anonymizer(config))
+        bad[prefix + "_counters"] = dict(
+            bad[prefix + "_counters"], addresses_mapped="seven"
+        )
+        anonymizer = Anonymizer(config)
+        with pytest.raises(StateError, match="malformed"):
+            import_state(anonymizer, bad)
+        assert export_state(anonymizer) == export_state(Anonymizer(config))
+        # Had the counter been stored, every IPv4 line would fail closed.
+        out = anonymizer.anonymize_text("ip address 10.1.1.2 255.255.255.0\n")
+        assert "REPRO-FAIL-CLOSED" not in out
+
+
+class TestDualStackFixture:
+    """Documents written before the one-trie refactor still load, replay
+    to the same mappings, and re-export byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        configs = json.loads((FIXTURE_DIR / "configs.json").read_text())
+        state = (FIXTURE_DIR / "state.json").read_text()
+        journal = (FIXTURE_DIR / "journal.jsonl").read_bytes()
+        records = [json.loads(line.partition(b" ")[2]) for line in journal.splitlines()]
+        return configs, state, journal, records
+
+    @staticmethod
+    def _fresh():
+        return Anonymizer(
+            AnonymizerConfig(salt=FIXTURE_SALT.encode(), plugins=FIXTURE_PLUGINS)
+        )
+
+    @staticmethod
+    def _assert_mappings(anonymizer, configs, records):
+        for record in records:
+            if record["op"] == "anonymize":
+                text, _ = anonymizer.anonymize_file(
+                    configs[record["source"]], source=record["source"]
+                )
+                assert text == record["result"]["text"]
+
+    def test_fixture_covers_both_tries(self, recorded):
+        _, state, _, records = recorded
+        assert json.loads(state)["ip6_trie"]
+        assert [r["op"] for r in records][0] == "freeze"
+        assert any(r["op"] == "anonymize" and r["delta"]["ip6_trie"] for r in records)
+        assert any(r["op"] == "anonymize" and r["delta"]["ip_trie"] for r in records)
+
+    def test_journal_replays_to_recorded_state(self, recorded):
+        configs, state, _, records = recorded
+        anonymizer = self._fresh()
+        for record in records:
+            apply_state_delta(anonymizer, record["delta"])
+            if record["op"] == "freeze":
+                anonymizer.mark_frozen()
+        replayed, recorded_state = json.loads(export_state_json(anonymizer)), json.loads(state)
+        # Not compared: the RNG states (the freeze record's delta is taken
+        # after the freeze, so it lacks the position the preload reached)
+        # and the last request's ASNs (a delta carries the ASNs merged
+        # before it, so they would travel in the next record).
+        for key in ("ip_trie", "ip6_trie", "ip_counters", "ip6_counters",
+                    "hash_cache", "active_plugins", "hash_length"):
+            assert replayed[key] == recorded_state[key], key
+        assert set(replayed["seen_asns"]) <= set(recorded_state["seen_asns"])
+        self._assert_mappings(anonymizer, configs, records)
+
+    def test_state_document_round_trips(self, recorded):
+        configs, state, _, records = recorded
+        anonymizer = self._fresh()
+        import_state_json(anonymizer, state)
+        assert export_state_json(anonymizer) == state
+        anonymizer.mark_frozen()
+        self._assert_mappings(anonymizer, configs, records)
+
+    def test_rerecorded_session_is_byte_identical(self, recorded, tmp_path):
+        configs, state, journal, _ = recorded
+        assert record_dualstack_session(tmp_path, configs) == (journal, state)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    from repro.iosgen import NetworkSpec, generate_network
+
+    network = generate_network(
+        NetworkSpec(name="eos-net", kind="enterprise", seed=11, num_pops=1,
+                    eos_fraction=1.0)
+    )
+    fixture_configs = dict(sorted(network.configs.items())[:4])
+    with tempfile.TemporaryDirectory() as scratch:
+        journal_bytes, state_text = record_dualstack_session(scratch, fixture_configs)
+    FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
+    (FIXTURE_DIR / "configs.json").write_text(
+        json.dumps(fixture_configs, indent=1, sort_keys=True) + "\n"
+    )
+    (FIXTURE_DIR / "state.json").write_text(state_text)
+    (FIXTURE_DIR / "journal.jsonl").write_bytes(journal_bytes)
