@@ -372,9 +372,14 @@ class Session:
                 # into the committed map first so a snapshot triggered by
                 # this very append (which truncates the journal record
                 # carrying the key) still covers it; a failed append
-                # rolls the entry back out.
+                # rolls the entry back out.  This request's ASNs join the
+                # live set the same way, so the record's delta (and such
+                # a snapshot) carries them, not the next record.
                 if idempotency_key:
                     self._committed[idempotency_key] = result
+                seen_asns = self.anonymizer.report.seen_asns
+                new_asns = file_report.seen_asns - seen_asns
+                seen_asns |= new_asns
                 try:
                     self._journal_append(
                         {
@@ -389,6 +394,7 @@ class Session:
                 except Exception:
                     if idempotency_key:
                         self._committed.pop(idempotency_key, None)
+                    seen_asns -= new_asns
                     raise
             self.anonymizer.report.merge(file_report)
             self.requests_served += 1

@@ -1086,6 +1086,34 @@ class TestDiskFaultDegradation:
         )["text"]
         manager2.close_all()
 
+    def test_failed_append_leaves_asns_and_each_record_carries_its_own(
+        self, tmp_path
+    ):
+        from repro.service.journal import JournalDiskError
+
+        text = "router bgp 64500\n neighbor 1.2.3.4 remote-as 701\n"
+        manager, _, _ = _durable_manager(tmp_path / "state")
+        session = manager.create(
+            SALT, {"fault_plan": "journal-enospc:full.cfg"}
+        )
+        report = session.anonymizer.report
+        session.anonymize("hostname r1\n", source="fine.cfg")
+        before = (set(report.seen_asns), report.lines_in)
+        with pytest.raises(JournalDiskError):
+            session.anonymize(text, source="full.cfg")
+        assert (set(report.seen_asns), report.lines_in) == before
+        session.anonymize(text, source="full.cfg")
+        live = set(report.seen_asns)
+        assert {64500, 701} <= live
+        manager.close_all()
+
+        # The last request's ASNs are in its own record, so a journal-only
+        # recovery (no snapshot was written) sees all of them.
+        manager2, _, _ = _durable_manager(tmp_path / "state")
+        restored = manager2.resume(SALT, session.id)
+        assert restored.anonymizer.report.seen_asns == live
+        manager2.close_all()
+
     def test_enospc_freeze_is_retained_and_flushed_on_retry(
         self, tmp_path, figure1_text
     ):

@@ -241,13 +241,16 @@ class TestDualStackFixture:
     """Documents written before the one-trie refactor still load, replay
     to the same mappings, and re-export byte for byte."""
 
+    @staticmethod
+    def _records(journal):
+        return [json.loads(line.partition(b" ")[2]) for line in journal.splitlines()]
+
     @pytest.fixture(scope="class")
     def recorded(self):
         configs = json.loads((FIXTURE_DIR / "configs.json").read_text())
         state = (FIXTURE_DIR / "state.json").read_text()
         journal = (FIXTURE_DIR / "journal.jsonl").read_bytes()
-        records = [json.loads(line.partition(b" ")[2]) for line in journal.splitlines()]
-        return configs, state, journal, records
+        return configs, state, journal, self._records(journal)
 
     @staticmethod
     def _fresh():
@@ -271,8 +274,7 @@ class TestDualStackFixture:
         assert any(r["op"] == "anonymize" and r["delta"]["ip6_trie"] for r in records)
         assert any(r["op"] == "anonymize" and r["delta"]["ip_trie"] for r in records)
 
-    def test_journal_replays_to_recorded_state(self, recorded):
-        configs, state, _, records = recorded
+    def _replay(self, records, state):
         anonymizer = self._fresh()
         for record in records:
             apply_state_delta(anonymizer, record["delta"])
@@ -280,13 +282,26 @@ class TestDualStackFixture:
                 anonymizer.mark_frozen()
         replayed, recorded_state = json.loads(export_state_json(anonymizer)), json.loads(state)
         # Not compared: the RNG states (the freeze record's delta is taken
-        # after the freeze, so it lacks the position the preload reached)
-        # and the last request's ASNs (a delta carries the ASNs merged
-        # before it, so they would travel in the next record).
+        # after the freeze, so it lacks the position the preload reached).
         for key in ("ip_trie", "ip6_trie", "ip_counters", "ip6_counters",
                     "hash_cache", "active_plugins", "hash_length"):
             assert replayed[key] == recorded_state[key], key
-        assert set(replayed["seen_asns"]) <= set(recorded_state["seen_asns"])
+        return anonymizer, replayed["seen_asns"], recorded_state["seen_asns"]
+
+    def test_journal_replays_to_recorded_state(self, recorded):
+        configs, state, _, records = recorded
+        anonymizer, replayed_asns, recorded_asns = self._replay(records, state)
+        assert replayed_asns == recorded_asns
+        self._assert_mappings(anonymizer, configs, records)
+
+    def test_legacy_journal_still_replays(self, recorded):
+        # Recorded before each record carried its own request's ASNs: a
+        # delta held the ASNs of the request before it, so the last
+        # request's never reached the journal.
+        configs, state, _, _ = recorded
+        records = self._records((FIXTURE_DIR / "journal_lagging_asns.jsonl").read_bytes())
+        anonymizer, replayed_asns, recorded_asns = self._replay(records, state)
+        assert set(replayed_asns) < set(recorded_asns)
         self._assert_mappings(anonymizer, configs, records)
 
     def test_state_document_round_trips(self, recorded):
