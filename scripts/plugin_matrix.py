@@ -9,10 +9,18 @@ never exercise it: an IPv4-only synthetic network is anonymized under
       (``REPRO_PLUGINS_DISABLE=ipv6``), and
   (c) the registry off entirely (``plugins=()``),
 
-across jobs=1 and jobs=2, and every output file must be byte-identical
-in all six runs.  Any drift means a plugin perturbed shared state (the
-pass-list, rule ordering, freeze scans) even when none of its rules
-fired — exactly the regression class this gate exists to catch.
+across jobs=1 and jobs=2, plus
+
+  (d) the full default plugin set with the rule dispatch off
+      (``rule_prefilter=False``, every rule tried on every line) at
+      jobs=1,
+
+and every output file must be byte-identical in all seven runs.  Drift
+in (a)-(c) means a plugin perturbed shared state (the pass-list, rule
+ordering, freeze scans) even when none of its rules fired — exactly the
+regression class this gate exists to catch.  Drift in (d) means some
+rule trigger, under some plugin set, is not a necessary condition of
+its rule and dropped a rewrite.
 
 Exits nonzero on the first mismatch, printing the offending file.
 """
@@ -47,14 +55,16 @@ def _corpus():
     return dict(generate_network(spec).configs)
 
 
-def _run(configs, plugins, jobs, disable_env=None):
+def _run(configs, plugins, jobs, disable_env=None, prefilter=True):
     saved = os.environ.get(ENV_PLUGIN_DISABLE)
     try:
         if disable_env is None:
             os.environ.pop(ENV_PLUGIN_DISABLE, None)
         else:
             os.environ[ENV_PLUGIN_DISABLE] = disable_env
-        anonymizer = Anonymizer(AnonymizerConfig(salt=SALT, plugins=plugins))
+        anonymizer = Anonymizer(
+            AnonymizerConfig(salt=SALT, plugins=plugins, rule_prefilter=prefilter)
+        )
         result = anonymizer.anonymize_network(dict(configs), jobs=jobs)
         return {
             original: result.configs[renamed]
@@ -70,17 +80,18 @@ def _run(configs, plugins, jobs, disable_env=None):
 def main() -> int:
     configs = _corpus()
     legs = [
-        ("all-plugins", dict(plugins=None, disable_env=None)),
-        ("ipv6-disabled", dict(plugins=None, disable_env="ipv6")),
-        ("registry-off", dict(plugins=(), disable_env=None)),
+        ("all-plugins", dict(plugins=None), (1, 2)),
+        ("ipv6-disabled", dict(plugins=None, disable_env="ipv6"), (1, 2)),
+        ("registry-off", dict(plugins=()), (1, 2)),
+        ("prefilter-off", dict(plugins=None, prefilter=False), (1,)),
     ]
     reference = None
     reference_leg = None
-    for leg_name, leg in legs:
-        for jobs in (1, 2):
-            outputs, families = _run(
-                configs, leg["plugins"], jobs, leg["disable_env"]
-            )
+    runs = 0
+    for leg_name, leg, job_counts in legs:
+        for jobs in job_counts:
+            runs += 1
+            outputs, families = _run(configs, jobs=jobs, **leg)
             label = "{} jobs={} families={}".format(
                 leg_name, jobs, list(families) or "[]"
             )
@@ -106,7 +117,7 @@ def main() -> int:
             print("ok: {} byte-identical to reference".format(label))
     print(
         "plugin-matrix: {} files byte-identical across {} runs".format(
-            len(reference), 2 * len(legs)
+            len(reference), runs
         )
     )
     return 0

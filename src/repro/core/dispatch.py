@@ -44,18 +44,29 @@ objects of an :class:`~repro.core.engine.Anonymizer`, paid once per
 anonymizer and never per line.
 
 The literal scan and its memo operate on the line's *shape*: the lowered
-line with every maximal digit run collapsed to ``0``.  Config corpora
-are full of lines that differ only in numbers (addresses, ASNs, ACL
-ids), and all of them share one shape — so the memo hit rate stays high
-on exactly the corpora where per-line classification matters.  The
-collapse is occurrence-preserving: if literal ``L`` occurs in line
-``S``, then ``shape(L)`` occurs in ``shape(S)`` (``L``'s edge digit
-runs are a suffix/prefix of ``S``'s maximal runs, so both collapse to
-the same ``0``), keeping the superset contract intact.  Shape collapse
-is *not* sound for arbitrary regex triggers (``[0-9a-f]{4}`` can lose
-characters), so regex triggers are always searched against the real
-lowered line; only their rule bits are combined with the memoized
-literal mask.
+line with every maximal digit run collapsed to ``0``
+(:func:`~repro.core.rulebase.line_shape`).  Config corpora are full of
+lines that differ only in numbers (addresses, ASNs, ACL ids), and all
+of them share one shape — so the memo hit rate stays high on exactly
+the corpora where per-line classification matters.  The collapse is
+occurrence-preserving: if literal ``L`` occurs in line ``S``, then
+``shape(L)`` occurs in ``shape(S)`` (``L``'s edge digit runs are a
+suffix/prefix of ``S``'s maximal runs, so both collapse to the same
+``0``), keeping the superset contract intact.
+
+Regex triggers come in two kinds.  A
+:class:`~repro.core.rulebase.ShapePattern` is written against the shape
+itself (``0\\.0\\.0\\.0/0`` for an ``a.b.c.d/len`` prefix), so it is
+searched only on a memo miss and its bits are folded into the memoized
+mask: on a repeated shape it costs nothing.  Its soundness is the rule
+author's obligation, argued in the shape's terms — every ``\\d{1,3}``
+group of a match lies inside one maximal digit run, which collapses to
+one ``0``.  The collapse is not sound for an arbitrary pattern
+(``\\d{3,}`` never matches a shape, ``[0-9a-f]{4}`` can lose
+characters), so a raw compiled regex is searched against the real
+lowered line on *every* line and only its rule bits are combined with
+the memoized mask.  Raw regexes still work, for out-of-tree rules that
+need real digits, but each one costs a search per line.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.rulebase import Rule
+from repro.core.rulebase import DIGIT_RUNS, Rule, ShapePattern, line_shape
 
 __all__ = ["CompiledDispatch"]
 
@@ -71,9 +82,6 @@ __all__ = ["CompiledDispatch"]
 #: collapsed config lines (tens of bytes each) and values small ints, so
 #: the worst case is a few MB per anonymizer.
 DEFAULT_MEMO_SIZE = 1 << 17
-
-#: Maximal digit runs, collapsed to "0" by the shape canonicalization.
-_DIGIT_RUNS = re.compile(r"[0-9]+")
 
 
 def _literal_overlap(a: str, b: str) -> bool:
@@ -130,8 +138,9 @@ class CompiledDispatch:
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.enabled = enabled
         self._memo_size = memo_size
-        #: line shape -> literal candidate mask (regex-trigger bits are
-        #: recomputed per line; shape collapse is unsound for them).
+        #: line shape -> candidate mask of the literal and shape-pattern
+        #: triggers (raw-regex bits are recomputed per line; shape
+        #: collapse is unsound for them).
         self._memo: Dict[str, int] = {}
         #: candidate bitmask -> rule tuple in application order (shared
         #: across memo entries; distinct masks are few).
@@ -140,6 +149,7 @@ class CompiledDispatch:
         self._always_mask = 0
         self._literal_re = None
         self._group_masks: List[int] = [0]  # group indices are 1-based
+        self._shape_triggers: List[Tuple] = []
         self._regex_triggers: List[Tuple] = []
         if enabled:
             self._compile()
@@ -148,23 +158,28 @@ class CompiledDispatch:
 
     def _compile(self) -> None:
         literals: List[Tuple[str, int]] = []  # (literal shape, rule bit)
-        regex_masks: Dict[str, List] = {}  # pattern text -> [compiled, mask]
+        # pattern text -> [search, mask]: each distinct pattern is
+        # searched once per line (raw) or once per shape (shape).
+        shape_masks: Dict[str, List] = {}
+        regex_masks: Dict[str, List] = {}
         for index, rule in enumerate(self.rules):
             bit = 1 << index
             trigger = rule.trigger
             if trigger is None:
                 self._always_mask |= bit
             elif isinstance(trigger, str):
-                literals.append((_DIGIT_RUNS.sub("0", trigger.lower()), bit))
+                literals.append((line_shape(trigger.lower()), bit))
             elif isinstance(trigger, (tuple, list, frozenset, set)):
                 for literal in trigger:
-                    literals.append((_DIGIT_RUNS.sub("0", literal.lower()), bit))
-            else:  # a compiled regex: scanned once per distinct pattern
-                entry = regex_masks.setdefault(trigger.pattern, [trigger, 0])
+                    literals.append((line_shape(literal.lower()), bit))
+            else:
+                masks = (
+                    shape_masks if isinstance(trigger, ShapePattern) else regex_masks
+                )
+                entry = masks.setdefault(trigger.pattern, [trigger.search, 0])
                 entry[1] |= bit
-        self._regex_triggers = [
-            (compiled.search, mask) for compiled, mask in regex_masks.values()
-        ]
+        self._shape_triggers = [tuple(entry) for entry in shape_masks.values()]
+        self._regex_triggers = [tuple(entry) for entry in regex_masks.values()]
 
         if not literals:
             return
@@ -198,7 +213,7 @@ class CompiledDispatch:
         """
         if not self.enabled:
             return self._all
-        shape = _DIGIT_RUNS.sub("0", lowered)
+        shape = DIGIT_RUNS.sub("0", lowered)  # line_shape, inlined
         memo = self._memo
         mask = memo.get(shape)
         if mask is None:
@@ -208,6 +223,9 @@ class CompiledDispatch:
                 group_masks = self._group_masks
                 for match in literal_re.finditer(shape):
                     mask |= group_masks[match.lastindex]
+            for search, smask in self._shape_triggers:
+                if (mask & smask) != smask and search(shape) is not None:
+                    mask |= smask
             if len(memo) < self._memo_size:
                 memo[shape] = mask
         for search, rmask in self._regex_triggers:
@@ -234,10 +252,11 @@ class CompiledDispatch:
             self._literal_re.groups if self._literal_re is not None else 0
         )
         return (
-            "CompiledDispatch(rules={}, literals={}, regex_triggers={}, "
-            "enabled={})".format(
+            "CompiledDispatch(rules={}, literals={}, shape_triggers={}, "
+            "regex_triggers={}, enabled={})".format(
                 len(self.rules),
                 literal_count,
+                len(self._shape_triggers),
                 len(self._regex_triggers),
                 self.enabled,
             )

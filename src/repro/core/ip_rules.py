@@ -14,7 +14,7 @@ import re
 from typing import List, Optional
 
 from repro.core.context import RuleContext
-from repro.core.rulebase import Rule
+from repro.core.rulebase import Rule, ShapePattern
 from repro.netutil import (
     classful_prefix_len,
     int_to_ip,
@@ -25,9 +25,15 @@ from repro.netutil import (
 
 _QUAD = r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"
 
-#: Prefilter hint shared by the quad-matching rules: one cheap scan for a
-#: dotted quad gates all of them (most config lines carry no address).
-QUAD_HINT = re.compile(_QUAD)
+#: Prefilter triggers of the quad-matching rules, written against the
+#: line's shape (digit runs collapsed to ``0``): each ``\d{1,3}`` group
+#: of a match lies inside one maximal digit run, so a quad's shape always
+#: contains ``0.0.0.0``.  The dispatch decides them once per distinct
+#: shape, so a repeated line shape pays no search.  Regexes, not
+#: literals: as a literal, ``0.0.0.0/0`` can begin inside a matched
+#: ``0.0.0.0``, and the overlap closure would admit R23 on every quad line.
+QUAD_SHAPE = ShapePattern(r"0\.0\.0\.0")
+PREFIX_SHAPE = ShapePattern(r"0\.0\.0\.0/0")
 
 #: IS-IS NET lines (rule X1); also used by the mapping-freeze corpus scan
 #: to preload the IP trie with decodable system ids.
@@ -108,7 +114,7 @@ def build_ip_rules() -> List[Rule]:
             "ip",
             "`a.b.c.d/len` prefixes; the length is structural and kept.",
             apply_prefix,
-            trigger=QUAD_HINT,
+            trigger=PREFIX_SHAPE,
         )
     )
 
@@ -190,7 +196,7 @@ def build_ip_rules() -> List[Rule]:
             "ACL address/wildcard pairs, server addresses, static routes); "
             "wildcards are special values and pass through unchanged.",
             apply_bare,
-            trigger=QUAD_HINT,
+            trigger=QUAD_SHAPE,
         )
     )
 

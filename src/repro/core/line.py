@@ -49,31 +49,43 @@ class SegmentedLine:
         that replace the matched span — each piece tagged frozen or live —
         or ``None`` to leave that particular match untouched.
 
-        Returns the number of matches rewritten.
+        Returns the number of matches rewritten.  Most calls rewrite
+        nothing (a candidate rule whose pattern finds no match, or whose
+        handler declines every one); those leave :attr:`segments` — the
+        list and every segment in it — untouched.  The new list is built
+        only from the first rewrite on, starting with a copy of the
+        segments before it.
         """
-        new_segments: List[Segment] = []
+        segments = self.segments
+        new_segments: Optional[List[Segment]] = None
         rewritten = 0
-        for segment in self.segments:
-            if segment.frozen or not segment.text:
-                new_segments.append(segment)
+        for index, segment in enumerate(segments):
+            text = segment.text
+            if segment.frozen or not text:
+                if new_segments is not None:
+                    new_segments.append(segment)
                 continue
             cursor = 0
-            for match in pattern.finditer(segment.text):
+            for match in pattern.finditer(text):
                 pieces = handler(match)
                 if pieces is None:
                     continue
-                if match.start() > cursor:
-                    new_segments.append(Segment(segment.text[cursor : match.start()], False))
-                for text, frozen in pieces:
-                    if text:
-                        new_segments.append(Segment(text, frozen))
+                if new_segments is None:
+                    new_segments = segments[:index]
+                start = match.start()
+                if start > cursor:
+                    new_segments.append(Segment(text[cursor:start], False))
+                for piece, frozen in pieces:
+                    if piece:
+                        new_segments.append(Segment(piece, frozen))
                 cursor = match.end()
                 rewritten += 1
-            if cursor < len(segment.text):
-                new_segments.append(Segment(segment.text[cursor:], False))
-            elif cursor == 0 and not segment.text:
-                new_segments.append(segment)
-        self.segments = new_segments
+            if new_segments is not None and cursor < len(text):
+                new_segments.append(
+                    Segment(text[cursor:], False) if cursor else segment
+                )
+        if new_segments is not None:
+            self.segments = new_segments
         return rewritten
 
     def map_live_tokens(self, mapper: Callable[[str], str]) -> None:

@@ -15,7 +15,12 @@ and the dispatch property test):
   *necessary* condition of its pattern: whenever the rule's ``apply``
   rewrites anything on a line, ``compile_gate(trigger)`` must pass on
   that line's lowered text.  A rule whose trigger misses lines its
-  pattern matches silently stops firing under the prefilter.
+  pattern matches silently stops firing under the prefilter.  Literal
+  and :class:`~repro.core.rulebase.ShapePattern` triggers (a regex over
+  the line with digit runs collapsed to ``0``) are decided once per
+  distinct line shape.  A raw compiled regex still works and sees the
+  real digits, but it costs one search on every line the engine
+  rewrites.
 * **Fail closed** — a recognizer that detects *part* of a privileged
   structure (an unterminated certificate block, a truncated key) must
   replace it with a placeholder, never emit the partial original.

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import re
 
-from repro.core.rulebase import Rule
+from repro.core.rulebase import Rule, ShapePattern
 from repro.core.ipanon import Prefix6PreservingMap
 from repro.netutil import ip6_to_int
 from repro.plugins.base import RecognizerPlugin
 
-#: Dispatch trigger: a necessary condition of any IPv6 literal.
-TRIGGER = re.compile(r"::|[0-9a-f]{1,4}:[0-9a-f]{1,4}:")
+#: Dispatch trigger: a necessary condition of any IPv6 literal, written
+#: against the line's shape (digit runs collapsed to ``0``) so the
+#: dispatch decides it once per distinct shape.  A hex group keeps its
+#: letters and loses digits, so it stays 1-4 characters of ``[0a-f]``.
+TRIGGER = ShapePattern(r"::|[0a-f]{1,4}:[0a-f]{1,4}:")
 
 #: Candidate extraction: a maximal hex/colon run not embedded in a larger
 #: word, with an optional ``/len``.  Validation (is it really IPv6?) is

@@ -50,6 +50,7 @@ import queue
 import signal
 import socket
 import socketserver
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -986,6 +987,7 @@ class AnonymizationService:
         status_board=None,
         watchdog_timeout: float = 0.0,
         respawn_limit: Optional[int] = None,
+        supervisor_pid: Optional[int] = None,
     ):
         self.metrics = ServiceMetrics()
         for name, help_text in DURABILITY_COUNTERS + CORPUS_COUNTERS:
@@ -1046,6 +1048,10 @@ class AnonymizationService:
         self.status_board = status_board
         self.watchdog_timeout = watchdog_timeout
         self.respawn_limit = respawn_limit
+        #: The pre-fork supervisor's pid: once this worker's parent is
+        #: someone else, the supervisor died and the worker drains.
+        self.supervisor_pid = supervisor_pid
+        self._orphaned = False
         self._hang_forever = False
         if listen_socket is not None:
             self.httpd: _ThreadingHTTPServer = _adopt_http_server(listen_socket)
@@ -1148,6 +1154,27 @@ class AnonymizationService:
                 time.sleep(3600)
         if self.status_board is not None and self.shard is not None:
             self.status_board.beat(self.shard.index)
+        if (
+            self.supervisor_pid is not None
+            and not self._orphaned
+            and os.getppid() != self.supervisor_pid
+        ):
+            # The supervisor died without draining us (SIGKILL, crash):
+            # the worker was reparented.  Nobody will respawn, route to,
+            # or stop it, so drain and exit rather than keep serving.
+            # ``stop_serving`` waits for the accept loops, and this is
+            # one of them, so it runs on its own thread.
+            self._orphaned = True
+            print(
+                "worker {}: supervisor {} is gone; draining".format(
+                    self.shard.index if self.shard is not None else "-",
+                    self.supervisor_pid,
+                ),
+                file=sys.stderr,
+                flush=True,
+            )
+            self.begin_drain()
+            threading.Thread(target=self.stop_serving, daemon=True).start()
 
     def request_hang(self) -> None:
         """Arm the injected live-hang (``worker-hang`` fault): every

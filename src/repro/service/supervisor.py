@@ -98,6 +98,7 @@ def _worker_process(
     generation: int,
     ready_fd: int,
     board: Optional[WorkerStatusBoard] = None,
+    supervisor_pid: Optional[int] = None,
 ) -> int:
     """Run one worker (inside the forked child); returns its exit code."""
     from repro.service.journal import JournalError
@@ -125,6 +126,7 @@ def _worker_process(
             status_board=board,
             watchdog_timeout=getattr(args, "watchdog_timeout", 0.0),
             respawn_limit=RESPAWN_LIMIT,
+            supervisor_pid=supervisor_pid,
         )
     except JournalError as exc:
         print(
@@ -230,6 +232,9 @@ class _Supervisor:
         # is covered by the readiness timeout instead).
         self.board.beat(index, now=0.0)
         read_fd, write_fd = os.pipe()
+        # Taken before the fork: a child that asked getppid() itself
+        # could already see init if the supervisor died in between.
+        supervisor_pid = os.getpid()
         pid = os.fork()
         if pid == 0:
             # Child: drop the parent's signal disposition before anything
@@ -254,6 +259,7 @@ class _Supervisor:
                     self.generations[index],
                     write_fd,
                     board=self.board,
+                    supervisor_pid=supervisor_pid,
                 )
             except SystemExit as exc:
                 code = int(exc.code or 0)

@@ -263,6 +263,14 @@ class TestRulePrefilter:
                 "set as-path prepend 701 701",
                 "neighbor 6.1.1.1 remote-as 1239",
                 "no rules here at all",
+                # Shape triggers (R23, R25, V1) and the raw MAC regex (R8).
+                "ip route 10.1.0.0/16 Null0",
+                "ip prefix-list P seq 5 permit 192.168.0.0/24 le 32",
+                "route 172.16.4.0/22 next-hop 12345.1.2.3",
+                "ipv6 route 2001:DB8::/32 FE80::1",
+                " 2001:db8:0:0:1:0:0:1",
+                " mac-address aabb.ccdd.eeff",
+                "arp 10.1.2.3 0011.2233.4455 arpa",
             ]
         )
         for rule in reference.rules + reference._junos_rules:

@@ -214,6 +214,12 @@ class TestDispatchContract:
                 "username ops sshkey ssh-rsa AAAAB3NzaC1yc2EAAAADAQ ops@x",
                 "snmp-server user ops grp v3 auth sha pw priv aes 128 pw2",
                 "no rules here at all",
+                # Shape triggers and the raw MAC regex.
+                "ip route 10.1.0.0/16 Null0",
+                "ipv6 route 2001:DB8::/32 FE80::1",
+                " 2001:db8:0:0:1:0:0:1",
+                "neighbor 2001:db8:0:1::7 remote-as 65001",
+                " mac-address aabb.ccdd.eeff",
             ]
         )
         plugin_rules = [
@@ -440,6 +446,27 @@ class TestBlobFailClosed:
         assert "MIIBComplete" not in out
         assert "REPRO-PEM-BLOB" in out
         assert "router bgp" in out  # the rest of the file still flows
+
+    def test_file_without_blob_markers_returned_untouched(self):
+        from repro.plugins.builtin.blobs import BlobBlockFilter
+
+        engine = Anonymizer(AnonymizerConfig(salt=b"blob", plugins=("blobs",)))
+        lines = ["hostname r1", " crypto key generate rsa", "end"]
+        ctx = engine._make_context("r1.cfg")
+        assert BlobBlockFilter()(lines, ctx) is lines
+        assert ctx.report.rule_hits.get("B1", 0) == 0
+
+    def test_mixed_case_certificate_header_still_filtered(self):
+        text = (
+            "crypto pki certificate chain TP\n"
+            " CERTIFICATE ca 01\n"
+            "  30820229 30820192 A0030201 02020101\n"
+            "  quit\n"
+        )
+        engine = Anonymizer(AnonymizerConfig(salt=b"blob", plugins=("blobs",)))
+        out, _ = engine.anonymize_file(text, source="r1.cfg")
+        assert "REPRO-CERT-BLOB" in out
+        assert "30820229" not in out
 
 
 # ---------------------------------------------------------------------------

@@ -376,3 +376,55 @@ class TestPreForkDaemon:
         )
         assert proc.returncode == EXIT_RECOVERY_FAILED
         assert "4-worker" in proc.stderr
+
+    def test_workers_exit_when_supervisor_is_killed(self, tmp_path):
+        """A SIGKILLed supervisor cannot drain its workers; each worker
+        sees its parent change at the next heartbeat tick and exits."""
+        from repro.service.client import ServiceClient
+
+        proc, url = _spawn(tmp_path, "orphans")
+        worker_pids = []
+        try:
+            probe = ServiceClient(url, timeout=30)
+            shards = probe.healthz()["shards"]
+            probe.close()
+            for shard_url in shards.values():
+                client = ServiceClient(shard_url, timeout=30)
+                worker_pids.append(client.healthz()["pid"])
+                client.close()
+            assert len(set(worker_pids)) == 2
+            assert proc.pid not in worker_pids
+            os.kill(proc.pid, signal.SIGKILL)
+            # wait, not communicate: live workers hold the output pipe.
+            proc.wait(timeout=30)
+            deadline = time.time() + 10
+            while any(_running(pid) for pid in worker_pids):
+                assert time.time() < deadline, (
+                    "workers outlived their supervisor: {}".format(
+                        [pid for pid in worker_pids if _running(pid)]
+                    )
+                )
+                time.sleep(0.1)
+        finally:
+            for pid in worker_pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=30)
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* runs; an exited orphan may linger as a zombie
+    until its new parent reaps it, which counts as gone."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
