@@ -45,14 +45,15 @@ anonymizer and never per line.
 
 The literal scan and its memo operate on the line's *shape*: the lowered
 line with every maximal digit run collapsed to ``0``
-(:func:`~repro.core.rulebase.line_shape`).  Config corpora are full of
-lines that differ only in numbers (addresses, ASNs, ACL ids), and all
-of them share one shape — so the memo hit rate stays high on exactly
-the corpora where per-line classification matters.  The collapse is
-occurrence-preserving: if literal ``L`` occurs in line ``S``, then
-``shape(L)`` occurs in ``shape(S)`` (``L``'s edge digit runs are a
-suffix/prefix of ``S``'s maximal runs, so both collapse to the same
-``0``), keeping the superset contract intact.
+(:func:`~repro.core.rulebase.line_shape`; a digit is what the rule
+patterns' ``\\d`` matches, non-ASCII decimal digits included).  Config
+corpora are full of lines that differ only in numbers (addresses, ASNs,
+ACL ids), and all of them share one shape — so the memo hit rate stays
+high on exactly the corpora where per-line classification matters.
+The collapse is occurrence-preserving: if literal ``L`` occurs in line
+``S``, then ``shape(L)`` occurs in ``shape(S)`` (``L``'s edge digit
+runs are a suffix/prefix of ``S``'s maximal runs, so both collapse to
+the same ``0``), keeping the superset contract intact.
 
 Regex triggers come in two kinds.  A
 :class:`~repro.core.rulebase.ShapePattern` is written against the shape

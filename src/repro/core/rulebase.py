@@ -12,13 +12,18 @@ from repro.core.line import SegmentedLine
 #: A line rule: rewrites matches in-place, returns the number of rewrites.
 RuleApply = Callable[[SegmentedLine, RuleContext], int]
 
-#: Maximal digit runs, collapsed to ``0`` by :func:`line_shape`.
-DIGIT_RUNS = re.compile(r"[0-9]+")
+#: Maximal digit runs, collapsed to ``0`` by :func:`line_shape`.  The
+#: class is the rule patterns' own ``\d``, which in a str regex also
+#: matches non-ASCII decimal digits (fullwidth ``１``, Arabic-Indic
+#: ``٣``) that :func:`int` parses: a quad written in them must collapse
+#: to ``0.0.0.0`` like any other, or its shape trigger would miss it.
+DIGIT_RUNS = re.compile(r"\d+")
 
 
 def line_shape(lowered: str) -> str:
     """The *shape* of a lowered line: every maximal digit run collapsed
-    to ``0``.  Lines that differ only in numbers share one shape."""
+    to ``0``.  Lines that differ only in numbers share one shape.
+    A digit is whatever ``\\d`` matches, as in the rule patterns."""
     return DIGIT_RUNS.sub("0", lowered)
 
 

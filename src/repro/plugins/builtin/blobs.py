@@ -45,6 +45,23 @@ AUTH_PRIV_RE = re.compile(
 )
 
 
+#: ``certificate`` under :data:`CERT_HEADER_RE`'s own case rules, which
+#: also match ``i`` with ``ı`` (U+0131) and ``İ`` (U+0130).
+CERT_WORD_RE = re.compile(r"certificate", re.IGNORECASE)
+
+
+def _may_hold_block(text: str) -> bool:
+    """False only when *text* can start no B1 block: it holds neither
+    ``-----BEGIN `` nor, in any case, ``certificate``."""
+    if "-----BEGIN " in text:
+        return True
+    if text.isascii():
+        # On ASCII text str.lower() folds exactly as the IGNORECASE
+        # regex does, and a substring scan is far cheaper than a search.
+        return "certificate" in text.lower()
+    return CERT_WORD_RE.search(text) is not None
+
+
 def _digest(salt: bytes, lines) -> str:
     payload = "\n".join(lines).encode("utf-8", "backslashreplace")
     return hashlib.sha256(salt + payload).hexdigest()[:16]
@@ -55,11 +72,10 @@ class BlobBlockFilter:
 
     def __call__(self, lines, ctx):
         # Every block starts on a line holding "-----BEGIN " or, in any
-        # case, "certificate".  Most files hold neither: two C-level
+        # case, "certificate".  Most files hold neither: a few C-level
         # scans of the joined file return them untouched, instead of a
         # Python loop over every line.
-        joined = "\n".join(lines)
-        if "-----BEGIN " not in joined and "certificate" not in joined.lower():
+        if not _may_hold_block("\n".join(lines)):
             return lines
         out = []
         salt = ctx.config.salt

@@ -145,8 +145,13 @@ class TestSupersetContract:
 # Lines for the shape triggers: dotted quads and ``/len`` prefixes whose
 # digit runs are 1-5 digits long (wider runs than a quad allows, so a
 # match can start inside a run), and IPv6 text from digit-only and hex
-# groups, glued to words and punctuation.
-_DIGITS = st.text(alphabet=string.digits, min_size=1, max_size=5)
+# groups, glued to words and punctuation.  Digits include non-ASCII
+# decimal digits (fullwidth, Arabic-Indic): the rule patterns' ``\d``
+# matches them and ``int()`` parses them, so they can carry an address.
+_DIGITS = st.text(
+    alphabet=string.digits + "\uff10\uff11\uff19\u0660\u0663\u0669",
+    min_size=1, max_size=5,
+)
 _HEX_GROUP = st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=5)
 _QUADS = st.lists(_DIGITS, min_size=4, max_size=4).map(".".join)
 _PREFIXES = st.tuples(_QUADS, _DIGITS).map("/".join)
@@ -185,6 +190,9 @@ class TestShapeTriggers:
     @example(line="x1.2.3.45678/9")
     @example(line="fe80::1")
     @example(line="2001:db8:0:1:")
+    @example(line="neighbor \uff11\uff10.\uff10.\uff10.\uff11")
+    @example(line="ip route 10.1.0.0/\uff11\uff16")
+    @example(line="x\u0663.4.5.6")
     def test_gate_and_classify_admit_every_raw_match(self, anonymizer, line):
         lowered = line.lower()
         candidates = {r.rule_id for r in anonymizer._dispatch_ios.classify(lowered)}
@@ -405,20 +413,22 @@ class TestPrefilterFlag:
             == off.anonymize_network(dict(configs)).configs
         )
 
-    @pytest.mark.parametrize("corpus", ["dualstack_eos", "blobs"])
+    @pytest.mark.parametrize("corpus", ["dualstack_eos", "blobs", "non_ascii_digits"])
     def test_prefilter_off_identical_on_plugin_corpora(self, corpus):
         """The shape triggers (R23, R25, V1) and the block filter's
-        whole-file skip drop no rewrite: dual-stack EOS configs and a
-        certificate corpus come out byte-identical with the dispatch off,
-        and so do the reports."""
+        whole-file skip drop no rewrite: dual-stack EOS configs, a
+        certificate corpus and addresses in non-ASCII digits come out
+        byte-identical with the dispatch off, and so do the reports."""
         import json
         from pathlib import Path
 
         if corpus == "dualstack_eos":
             path = Path(__file__).parent / "data" / "dualstack_eos" / "configs.json"
             configs = json.loads(path.read_text())
-        else:
+        elif corpus == "blobs":
             configs = _CERTIFICATE_CORPUS
+        else:
+            configs = _NON_ASCII_DIGIT_CORPUS
         results = []
         for prefilter in (True, False):
             engine = Anonymizer(
@@ -435,7 +445,26 @@ class TestPrefilterFlag:
             for marker in ("REPRO-PEM-BLOB", "REPRO-CERT-BLOB", "REPRO-BLOB-PARTIAL"):
                 assert marker in joined
             assert "MIIB" not in joined
+        elif corpus == "non_ascii_digits":
+            (out,) = results[0][0].values()
+            for original in ("\uff11\uff10.\uff10.\uff10.\uff11", "\u0661\u0660.\u0662",
+                             "\uff11\uff10.\uff11.\uff10.\uff10", "10.2.0.0"):
+                assert original not in out
 
+
+#: Quads and ``/len`` prefixes in fullwidth and Arabic-Indic digits: the
+#: rule patterns' ``\\d`` matches them and ``int()`` parses them, so they
+#: are rewritten, and the shape triggers must admit them too.
+_NON_ASCII_DIGIT_CORPUS = {
+    "r1.cfg": (
+        "hostname r1\n"
+        "router bgp 701\n"
+        " neighbor \uff11\uff10.\uff10.\uff10.\uff11 remote-as 1239\n"
+        " neighbor \u0661\u0660.\u0662.\u0663.\u0664 remote-as 1239\n"
+        "ip route \uff11\uff10.\uff11.\uff10.\uff10/\uff11\uff16 Null0\n"
+        "ip route 10.2.0.0/\uff11\uff16 Null0\n"
+    )
+}
 
 #: Files with PEM blocks, an IOS certificate chain under a mixed-case
 #: header, an unterminated block, and a file with no blob at all.

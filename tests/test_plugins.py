@@ -468,6 +468,22 @@ class TestBlobFailClosed:
         assert "REPRO-CERT-BLOB" in out
         assert "30820229" not in out
 
+    @pytest.mark.parametrize("header", ["CERT\u0131F\u0131CATE", "CERT\u0130F\u0130CATE"])
+    def test_dotless_and_dotted_i_certificate_header_still_filtered(self, header):
+        """The header regex is IGNORECASE, which matches ``i`` with
+        ``\u0131`` and ``\u0130``; str.lower() does not fold them to ``i``,
+        so the whole-file skip must not be a plain lowered scan."""
+        text = (
+            "crypto pki trustpoint TP\n"
+            " {} ca 01\n".format(header)
+            + "  30820229 30820192 A0030201 02020101\n"
+            "  quit\n"
+        )
+        engine = Anonymizer(AnonymizerConfig(salt=b"blob", plugins=("blobs",)))
+        out, _ = engine.anonymize_file(text, source="r1.cfg")
+        assert "REPRO-CERT-BLOB" in out
+        assert "30820229" not in out
+
 
 # ---------------------------------------------------------------------------
 # EOS + IPv6 corpus round trip
