@@ -16,7 +16,9 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 Row = Tuple[str, str, str, str]
 
 
-def report(experiment: str, title: str, rows: Iterable[Row]) -> str:
+def report(
+    experiment: str, title: str, rows: Iterable[Row], directory: str = RESULTS_DIR
+) -> str:
     rows = list(rows)
     width_metric = max([len(r[0]) for r in rows] + [len("metric")])
     width_paper = max([len(r[1]) for r in rows] + [len("paper")])
@@ -38,8 +40,8 @@ def report(experiment: str, title: str, rows: Iterable[Row]) -> str:
         )
     text = "\n".join(lines)
     print(text)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, experiment + ".txt")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, experiment + ".txt")
     with open(path, "w") as handle:
         handle.write(text.lstrip("\n") + "\n")
     return text

@@ -20,7 +20,7 @@ def _shared_prefix(a, b):
     return 32 if xor == 0 else 32 - xor.bit_length()
 
 
-def test_ip_map_properties(benchmark):
+def test_ip_map_properties(anonymized_dataset, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     rng = random.Random(99)
     mapping = PrefixPreservingMap(b"e6-salt")
@@ -66,12 +66,21 @@ def test_ip_map_properties(benchmark):
         host = probe.map_int(0x0A000005)   # this salt's flip stream)
         return _shared_prefix(base, host), probe.collision_walks
 
-    # Subnet shaping: fresh map, insert /24 subnet addresses first.
+    # Subnet shaping: a fresh map frozen over /24 subnet addresses.
     shaper = PrefixPreservingMap(b"e6-shape")
     subnet_bases = [rng.randrange(0x0A0000, 0x0AFFFF) << 8 for _ in range(2000)]
+    shaper.freeze(subnet_bases)
     shaped = sum(
         trailing_zero_bits(shaper.map_int(base)) >= 8 for base in set(subnet_bases)
     )
+
+    # Fixed points over the corpus: every non-special address each
+    # network's freeze mapped, under that network's salt.
+    corpus_fixed = corpus_total = 0
+    for _network, anonymizer, _result in anonymized_dataset:
+        walks = anonymizer.ip_map._raw_cache
+        corpus_total += len(walks)
+        corpus_fixed += sum(value == mapped for value, mapped in walks.items())
 
     rows = [
         ("sample size", "(4.3M lines)", str(len(unique)), "distinct addresses"),
@@ -87,9 +96,14 @@ def test_ip_map_properties(benchmark):
          "why loopback is opt-in"),
         ("collision policy", "walk (recursive remap)", "allow (default)",
          "walk breaks walked addresses' prefix relations; see ipanon.py"),
-        ("subnet addresses shaped (inserted first)", "always",
+        ("subnet addresses shaped (in the shaping set)", "always",
          fmt(100.0 * shaped / len(set(subnet_bases))) + "%", ""),
-        ("trie nodes created", "(n/a)", str(mapping.nodes_created), ""),
+        ("shaping set size / stride digests", "(n/a)",
+         "{} / {}".format(len(shaper.shaping), shaper.stride_digests),
+         "the shaping map; the sample map has no shaping set"),
+        ("corpus addresses mapped to themselves", "(n/a)",
+         "{} of {}".format(corpus_fixed, corpus_total),
+         "non-special addresses of all 31 networks"),
     ]
     report("E6", "IP map properties vs paper Section 4.3", rows)
     assert bijective
@@ -98,6 +112,7 @@ def test_ip_map_properties(benchmark):
     assert specials_fixed
     assert mapping.collision_walks == 0
     assert shaped == len(set(subnet_bases))
+    assert corpus_fixed < corpus_total // 100
 
 
 def test_ip_map_throughput(benchmark):

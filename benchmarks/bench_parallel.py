@@ -6,7 +6,8 @@ read-only, so files can be rewritten in any number of worker processes
 with byte-identical output.  This benchmark measures end-to-end wall time
 (freeze + rewrite + merge) for jobs in {1, 2, 4} on the largest network
 of the bench corpus, checks the byte-identity guarantee while it is at
-it, and emits a machine-readable ``results/BENCH_parallel.json``.
+it, and emits a machine-readable ``results/BENCH_parallel.json``
+(``results/gate/`` on a gated run, see below).
 
 CPU topology is recorded honestly: ``cpu_count`` is what the machine
 has, ``cpus_usable`` is what this process may actually schedule on
@@ -20,7 +21,9 @@ Single-core throughput is additionally gated against the checked-in
 baseline (``baselines/BENCH_parallel_baseline.json``) when
 ``REPRO_BENCH_BASELINE=1``: CI fails if lines/s regresses more than 20%
 below the recorded floor.  The gate is opt-in because absolute
-throughput on developer laptops varies far more than 20%.
+throughput on developer laptops varies far more than 20%.  A gated run
+writes its ``BENCH_parallel.json`` and ``E22.txt`` under the ignored
+``results/gate/``, so the committed results keep the recorded numbers.
 """
 
 import json
@@ -40,6 +43,8 @@ BASELINE_PATH = os.path.join(
 )
 #: Fail the (opt-in) regression gate below baseline * (1 - tolerance).
 BASELINE_TOLERANCE = 0.20
+#: Where a gated run writes its results (ignored by git).
+GATE_RESULTS_DIR = os.path.join(RESULTS_DIR, "gate")
 
 
 def _usable_cpus() -> int:
@@ -108,8 +113,10 @@ def test_parallel_speedup(dataset):
             str(jobs): total_lines / timings[jobs] for jobs in JOBS_SWEEP
         },
     }
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "BENCH_parallel.json"), "w") as handle:
+    gated = os.environ.get("REPRO_BENCH_BASELINE") == "1"
+    results_dir = GATE_RESULTS_DIR if gated else RESULTS_DIR
+    os.makedirs(results_dir, exist_ok=True)
+    with open(os.path.join(results_dir, "BENCH_parallel.json"), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
     rows = [
@@ -129,7 +136,7 @@ def test_parallel_speedup(dataset):
             ),
             "{} lines/s".format(fmt(total_lines / timings[jobs], 0)),
         ))
-    report("E22", "parallel rewrite speedup", rows)
+    report("E22", "parallel rewrite speedup", rows, directory=results_dir)
 
     if cpus_usable >= 4:
         assert payload["speedup"]["4"] >= 2.0, (
@@ -139,7 +146,7 @@ def test_parallel_speedup(dataset):
             )
         )
 
-    if os.environ.get("REPRO_BENCH_BASELINE") == "1":
+    if gated:
         with open(BASELINE_PATH) as handle:
             baseline = json.load(handle)
         # Scale-invariant gate: compare single-core lines/s, not seconds.

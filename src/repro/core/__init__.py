@@ -19,7 +19,6 @@ from repro.core.engine import Anonymizer, AnonymizedNetwork
 from repro.core.report import AnonymizationReport
 from repro.core.passlist import PassList, DEFAULT_PASSLIST
 from repro.core.ipanon import PrefixPreservingMap, SpecialAddresses
-from repro.core.cryptopan import CryptoPanMap
 from repro.core.asn import AsnPermutation, is_public_asn, is_private_asn
 from repro.core.community import CommunityAnonymizer
 from repro.core.strings import StringHasher
@@ -41,7 +40,6 @@ __all__ = [
     "DEFAULT_PASSLIST",
     "PrefixPreservingMap",
     "SpecialAddresses",
-    "CryptoPanMap",
     "AsnPermutation",
     "is_public_asn",
     "is_private_asn",

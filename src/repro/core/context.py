@@ -107,7 +107,7 @@ class RuleContext:
         """The memoized mapping entry for one dotted-quad text.
 
         Parse, trie walk, and re-format all collapse to one dict hit for
-        repeats — the dominant case once the freeze phase has preloaded
+        repeats — the dominant case once the freeze phase has mapped
         the corpus.  Entries are ``(mapped text, is_special, public value
         or None, collision_walks delta, collision_allowed delta, mapped
         value)``; a hit replays the trie counter increments the first

@@ -15,14 +15,13 @@ files of one network, which is what preserves cross-file relationships
 identically everywhere it appears in the network).
 
 There is one pipeline, **freeze-then-rewrite**:
-:meth:`Anonymizer.freeze_mappings` scans the whole corpus once, preloading
-every address (most-trailing-zeros-first, so subnet shaping is
-guaranteed) and pre-hashing the corpus vocabulary; the IP trie is then
-*frozen* (future flip bits become a pure function of the owner secret).
-After the freeze, a file's anonymized bytes depend only on (salt, file
-text) — not on which other files exist, their order, or which process
-rewrites them — which is what lets :mod:`repro.core.parallel` fan
-rewriting out over worker processes with byte-identical results.
+:meth:`Anonymizer.freeze_mappings` scans the whole corpus once, fixes the
+IP map's subnet-shaping set from the scanned addresses, maps every one
+of them, and pre-hashes the corpus vocabulary.  After the freeze, a
+file's anonymized bytes depend only on (salt, shaping set, file text) —
+not on which other files exist, their order, or which process rewrites
+them — which is what lets :mod:`repro.core.parallel` fan rewriting out
+over worker processes with byte-identical results.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from repro.netutil import looks_like_junos
 from repro.plugins.base import FinalLine
 from repro.plugins.registry import resolve_active_plugins
 
-#: Dotted-quad scanner used by the corpus preload (compiled once at import).
+#: Dotted-quad scanner used by the freeze scan (compiled once at import).
 DOTTED_QUAD_RE = re.compile(r"\b(\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})\b")
 
 
@@ -66,7 +65,7 @@ class AnonymizedNetwork:
 
 @dataclass
 class FreezeStats:
-    """What :meth:`Anonymizer.freeze_mappings` preloaded: distinct
+    """What :meth:`Anonymizer.freeze_mappings` mapped: distinct
     addresses (dotted quads, then IS-IS system ids not among them) and
     zero-hash words.  ASN and community memos are not preloaded; the
     rewrite fills them on first use."""
@@ -74,7 +73,7 @@ class FreezeStats:
     addresses: int = 0
     system_ids: int = 0
     words_warmed: int = 0
-    #: Distinct IPv6 addresses preloaded by the ``ipv6`` plugin's freeze
+    #: Distinct IPv6 addresses mapped by the ``ipv6`` plugin's freeze
     #: scan (0 when that family is inactive).
     ipv6_addresses: int = 0
 
@@ -171,6 +170,10 @@ class Anonymizer:
         #: Stats of the last :meth:`freeze_mappings` call (``None`` until
         #: a freeze runs); the service's session-info endpoint reports it.
         self.last_freeze_stats: Optional[FreezeStats] = None
+        #: True once :meth:`freeze_mappings` (or a replayed freeze) ran:
+        #: the shaping sets are fixed and the anonymizer may serve files
+        #: in any order with byte-identical output.
+        self.frozen = False
 
     def _syntax_for(self, text: str) -> str:
         if self.config.syntax != "auto":
@@ -353,26 +356,23 @@ class Anonymizer:
     def freeze_mappings(self, configs: Dict[str, str]) -> FreezeStats:
         """Scan the whole corpus once and freeze all shared mapping state.
 
-        The first phase of :meth:`anonymize_network`.  The paper's
-        subnet-address shaping is best-effort because it depends on
-        insertion order ("whenever they are inserted before colliding
-        hosts"); in one pass over the raw text this
+        The first phase of :meth:`anonymize_network`.  In one pass over
+        the raw text this
 
-        1. preloads every dotted-quad address *and* every address encoded
-           in an IS-IS NET system id into the IP trie
-           (most-trailing-zeros-first, so subnet shaping is guaranteed),
+        1. finds every dotted-quad address *and* every address encoded in
+           an IS-IS NET system id, fixes the IP map's subnet-shaping set
+           from them (unless its lineage already fixed it) and maps
+           each one, in any order, so the rewrite finds them memoized;
         2. pre-hashes the corpus vocabulary whose anonymization involves
            no salted hashing (pure pass-list words, numbers, punctuation)
-           into the whole-word memo cache,
+           into the whole-word memo cache.
 
-        and then calls :meth:`PrefixPreservingMap.freeze` so any address
-        the scan missed still gets an order-independent mapping.  ASNs
-        and communities need no preload: their maps are keyed
+        ASNs and communities need no preload: their maps are keyed
         permutations, so the rewrite fills their memos on first use with
-        the same result.  After this returns, rewriting a file performs
-        only read-only lookups on the shared maps (plus pure-function
-        cache fills), so files may be rewritten in any order — or in
-        parallel worker processes — with byte-identical output.
+        the same result.  After this returns, every mapping is a pure
+        function of (salt, shaping set, input), so files may be rewritten
+        in any order — or in parallel worker processes — with
+        byte-identical output.
         """
         stats = FreezeStats()
         words = set()
@@ -382,49 +382,30 @@ class Anonymizer:
         system_ids = self._scan_system_ids(configs) - addresses
         stats.addresses = len(addresses)
         stats.system_ids = len(system_ids)
-        self.ip_map.preload(addresses | system_ids)
+        self.ip_map.freeze(addresses | system_ids)
 
         # Warm the vocabulary that needs no salted hash (see
         # TokenAnonymizer.warm for why hashable words are skipped).
         warm = self.token_anon.warm
         stats.words_warmed = sum(1 for word in words if warm(word))
 
-        # Plugin freeze scans (e.g. the IPv6 trie preload) run before the
-        # freeze point so their insertions are order-guaranteed too.
+        # Plugin freeze scans (e.g. the IPv6 shaping set).
         for plugin in self.plugins:
             plugin.freeze_scan(self, configs, stats)
 
-        self.mark_frozen()
+        self.frozen = True
         self.last_freeze_stats = stats
         return stats
 
     def tries(self) -> Dict[str, PrefixPreservingMap]:
-        """Every address trie this anonymizer has, keyed by the prefix of
+        """Every address map this anonymizer has, keyed by the prefix of
         its state-document fields: ``ip`` always, then ``ip6`` when the
-        ``ipv6`` plugin contributed a map.  State export, import, deltas,
-        snapshots and :meth:`mark_frozen` all iterate this."""
+        ``ipv6`` plugin contributed a map.  State export, import, deltas
+        and snapshots all iterate this."""
         tries = {"ip": self.ip_map}
         if self.ip6_map is not None:
             tries["ip6"] = self.ip6_map
         return tries
-
-    def mark_frozen(self) -> None:
-        """Freeze every mapping trie (the v4 map and any plugin maps).
-
-        The replay/restore paths use this instead of touching
-        ``ip_map.freeze()`` directly so plugin-contributed address
-        families freeze in lockstep with the builtin one.
-        """
-        for ip_map in self.tries().values():
-            ip_map.freeze()
-
-    @property
-    def frozen(self) -> bool:
-        """True once :meth:`freeze_mappings` has frozen the IP trie, i.e.
-        every future mapping is a pure function of (salt, input) and the
-        anonymizer may serve files in any order with byte-identical
-        output."""
-        return self.ip_map.frozen
 
     def anonymize_network(
         self,

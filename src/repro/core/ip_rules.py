@@ -36,7 +36,7 @@ QUAD_SHAPE = ShapePattern(r"0\.0\.0\.0")
 PREFIX_SHAPE = ShapePattern(r"0\.0\.0\.0/0")
 
 #: IS-IS NET lines (rule X1); also used by the mapping-freeze corpus scan
-#: to preload the IP trie with decodable system ids.
+#: to shape with and map decodable system ids.
 ISIS_NET_RE = re.compile(
     r"^(\s*net )(\d{2}(?:\.[0-9a-fA-F]{4})?)((?:\.[0-9a-fA-F]{4}){3})(\.\d{2})\s*$",
     re.IGNORECASE,

@@ -1,22 +1,34 @@
 """Prefix-preserving IP address anonymization (paper Section 4.3).
 
-The mapping is the data-structure-based scheme the paper extends from
-Minshall's tcpdpriv ``-a50``: a binary trie in which every node carries a
-*flip bit* chosen when the node is first created.  Mapping an address walks
-its bits MSB-first; output bit *i* is input bit *i* XOR the flip bit of the
-node reached by the first *i* input bits.  Because the flip bit is a pure
-function of the input prefix, two addresses sharing a k-bit prefix map to
-two addresses sharing a k-bit prefix and vice versa — the
-*prefix-preserving* property that keeps the ``subnet contains``
-relationship intact across a whole network's configs.
+The mapping is a binary trie in which every node carries a *flip bit*.
+Mapping an address walks its bits MSB-first; output bit *i* is input bit
+*i* XOR the flip bit of the node reached by the first *i* input bits.
+Because the flip bit is a function of the input prefix alone, two
+addresses sharing a k-bit prefix map to two addresses sharing a k-bit
+prefix and vice versa — the *prefix-preserving* property that keeps the
+``subnet contains`` relationship intact across a whole network's configs.
+
+The paper stores Minshall's trie because a stored trie can be *shaped*.
+Here no trie is stored: every flip bit is a bit of a keyed PRF, as in
+Xu's Crypto-PAn, and shaping is a fixed set of pinned nodes.  A node's
+flip bit is a pure function of (owner secret, shaping set, node), so the
+mapping does not depend on insertion order, on which process maps an
+address, or on what was mapped before.
 
 One implementation, :class:`PrefixPreservingMap`, serves both address
 families: its width (32 or 128 bits) is a class attribute, and
-:class:`Prefix6PreservingMap` only sets the IPv6 width, key domains,
+:class:`Prefix6PreservingMap` only sets the IPv6 width, key domain,
 specials, shaping cap and text format.
 
-The paper's three extensions, realized by "controlling how new entries are
-added to the data-structure":
+**Flip bits.**  The trie is cut into 8-level strides.  The 255 nodes of
+the stride below the ``top``-bit prefix ``p`` take their flip bits from
+one digest, ``HMAC(key, "top:p")``: bit ``2**j | q`` of the digest
+(little-endian) belongs to the node ``j`` levels into the stride whose
+last ``j`` prefix bits are ``q``.  The map memoizes, per 8-bit boundary,
+the stride's flip bits and the output prefix above it, so a new address
+walks only the strides below the deepest boundary already mapped.
+
+The paper's three extensions:
 
 * **Class preservation** (IPv4 only) — the flip bits of the nodes along
   the all-ones path at depths 0–3 are pinned to zero, so the
@@ -37,53 +49,42 @@ added to the data-structure":
     must map onto 0/8 (where the inverse masks live), a network that uses
     that unlucky /8 gets a *cluster* of walked addresses and its
     validation suites genuinely diverge (observed on the synthetic corpus;
-    see bench E6).
+    see bench E6).  A walked value's nodes get the same pins as any
+    other node's: those of the shaping rule below.
   - ``"allow"`` (default) — outputs are permitted to *equal* special
     values.  Input specials still pass through unchanged (all that config
     semantics requires), prefix relations stay exact everywhere, and the
     only cost is cosmetic: an anonymized host address may happen to look
     like a wildcard value.  Occurrences are counted in
     ``collision_allowed`` for review.
-* **Subnet-address shaping** — when a new trie node is created along a
-  suffix of all-zero input bits (the host part of a subnet address such as
-  ``10.1.1.0``), its flip bit is pinned to zero, so subnet addresses map to
-  subnet addresses whenever they are inserted before conflicting hosts
-  (best-effort, exactly as the paper describes: a readability aid, not a
-  security property).  Only the last IPv4 octet is ever pinned (depths 24
-  and deeper); for IPv6, the 80 bits below a /48.  A zero suffix says
-  nothing about the mask: ``32.1.0.0`` may be a /24 as well as a /16, and
-  pinning all 16 of its zeros would also pin the nodes its /24 neighbours
-  share.  The mapping freeze inserts addresses most-trailing-zeros-first
-  (:meth:`PrefixPreservingMap.preload`), so in a dense network unbounded
-  pins would set nearly every node above the last octet to 0 and map most
-  addresses to themselves.
+* **Subnet-address shaping** — the *shaping set* Z′ holds the scanned
+  non-special addresses with at least ``subnet_shaping_min_zeros``
+  trailing zero bits (the subnet addresses, such as ``10.1.1.0``).  A
+  node at depth ``d >= bits - shaping_max_zeros`` whose zero extension
+  ``prefix << (bits - d)`` lies in Z′ is pinned to zero, so every
+  address in Z′ maps to an address with at least as many trailing zeros
+  below the cap.  These are exactly the nodes Minshall's trie pinned
+  when the freeze inserted addresses most-trailing-zeros-first.  Only
+  the last IPv4 octet is ever pinned (depths 24 and deeper); for IPv6,
+  the 80 bits below a /48.  A zero suffix says nothing about the mask:
+  ``32.1.0.0`` may be a /24 as well as a /16, and pinning all 16 of its
+  zeros would also pin the nodes its /24 neighbours share, so in a dense
+  network unbounded pins would map most addresses to themselves.
 
-The walk resumes where the previous one left off.  Two addresses that
-share their first *k* bits share the trie nodes at depths 0..*k*, so once
-one of them has been walked, those nodes exist and their output bits are
-known.  ``raw_map`` remembers the last walked value and its output, and
-starts the next walk at the depth where the new value diverges from it.
-The skipped levels are exactly those where a full walk would only find
-existing nodes.  From there it probes down to the first missing node and
-creates every deeper one without probing: each walk creates its whole
-path, so no node exists below a missing one.  Node creations and RNG
-draws happen in the order a full walk from the root makes them, and
-``_flips`` comes out identical, insertion order included.  The corpus
-preload inserts addresses in sorted runs, where neighbours share most of
-their bits, so most of its walking is skipped.  Replacing ``_flips`` on a
-map that has already walked must be followed by
-:meth:`PrefixPreservingMap.invalidate_cache`, which forgets the
-remembered path along with the memos.
+The freeze fixes Z′ (:meth:`PrefixPreservingMap.freeze`) once per
+lineage: a map whose Z′ came from an imported state, or that mapped an
+address before its first freeze (an empty Z′), keeps it, so a later
+freeze never pins a node an earlier run walked unpinned.  With an empty
+Z′ the map is Crypto-PAn with class preservation.
 """
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import hmac
-import random
 from typing import Iterable, Optional, Union
 
-from repro.core.secrets import derive_key, derive_seed_int, normalize_salt
+from repro.core.secrets import derive_key, normalize_salt
 from repro.netutil import (
     IPV4_MAX,
     int_to_ip,
@@ -94,8 +95,16 @@ from repro.netutil import (
     trailing_zero_bits,
 )
 
-#: ``_last_walk`` before any walk: no value to share a prefix with.
-_NO_WALK = (-1, 0)
+#: Digest bits of the class nodes: the all-ones prefixes at depths 0-3,
+#: in the root stride.
+_CLASS_PINS = sum(1 << ((2 << depth) - 1) for depth in range(4))
+
+
+@functools.lru_cache(maxsize=None)
+def _path_pins(chunk: int, level: int) -> int:
+    """Digest bits of the nodes at *level* and deeper on the path of the
+    8-bit *chunk* through one stride (at most 256 x 8 distinct calls)."""
+    return sum(1 << (1 << j | chunk >> (8 - j)) for j in range(level, 8))
 
 
 class SpecialAddresses:
@@ -160,7 +169,7 @@ class IPv6SpecialAddresses:
 
 
 class PrefixPreservingMap:
-    """Stateful prefix-preserving anonymization map (IPv4 by default).
+    """Keyed prefix-preserving anonymization map (IPv4 by default).
 
     The class attributes fix the address family: :attr:`bits`, the key
     derivation domain, the subnet-shaping cap and the text format.
@@ -169,13 +178,13 @@ class PrefixPreservingMap:
     Parameters
     ----------
     salt:
-        Owner secret; all flip-bit randomness derives from it, so the map
-        is deterministic for a fixed (salt, insertion order) pair.
+        Owner secret; every flip bit derives from it, so the map is a
+        pure function of (salt, shaping set).
     class_preserving:
         Pin the classful-prefix bits (default True, per the paper).
     subnet_shaping:
-        Map subnet addresses to subnet addresses, best-effort
-        (default True, per the paper).
+        Map subnet addresses to subnet addresses (default True, per the
+        paper); off, the freeze fixes an empty shaping set.
     preserve_specials:
         Pass special addresses through unchanged and cycle-walk collisions
         (default True, per the paper).
@@ -184,11 +193,10 @@ class PrefixPreservingMap:
         omitted).
     """
 
-    #: Address width in bits.
+    #: Address width in bits (a multiple of the 8-level stride).
     bits = 32
-    #: Key derivation domain: the pre-freeze RNG seed and the post-freeze
-    #: flip key are derived under ``<domain>-flip-bits`` and
-    #: ``<domain>-frozen-flip-bits``.
+    #: Key derivation domain: the flip-bit PRF key is derived under
+    #: ``<domain>-flip-bits``.
     key_domain = "ip-trie"
     #: Subnet shaping pins at most this many trailing bits: the last
     #: octet, the host part of a /24.
@@ -214,31 +222,7 @@ class PrefixPreservingMap:
                 )
             )
         self.collision_policy = collision_policy
-        salt = normalize_salt(salt)
-        self._rng = random.Random(
-            derive_seed_int(salt, self.key_domain + "-flip-bits")
-        )
-        self._flips = {}
-        # value -> raw_map(value) memo.  A trie node's flip bit never
-        # changes once created, so the mapping of a given value is stable
-        # for the life of the trie and the walk (one dict probe per level
-        # plus a keyed hash per fresh node) collapses to one dict hit for
-        # every repeat — the common case, since the freeze phase preloads
-        # every corpus address before the rewrite starts.  Invalidated
-        # only when `_flips` is *replaced* wholesale (state import).
-        self._raw_cache = {}
-        # address text -> rule-level outcome memo, owned by
-        # RuleContext.map_ip_text / map_ip6_text_or_none (stored here so
-        # it shares this trie's lifecycle: same stability argument, same
-        # invalidation).
-        self._text_cache = {}
-        # (value, output) of the last trie walk; raw_map resumes below
-        # the prefix a new value shares with it.  Reset with the memos.
-        self._last_walk = _NO_WALK
-        self._frozen = False
-        self._frozen_flip_key = derive_key(
-            salt, self.key_domain + "-frozen-flip-bits"
-        )
+        self._key = derive_key(normalize_salt(salt), self.key_domain + "-flip-bits")
         self.class_preserving = class_preserving
         self.subnet_shaping = subnet_shaping
         self.preserve_specials = preserve_specials
@@ -247,125 +231,111 @@ class PrefixPreservingMap:
         self.collision_walks = 0
         self.collision_allowed = 0
         self.addresses_mapped = 0
+        # value -> raw_map(value) memo.
+        self._raw_cache = {}
+        # address text -> rule-level outcome memo, owned by
+        # RuleContext.map_ip_text / map_ip6_text_or_none (stored here so
+        # it shares this map's lifecycle and invalidation).
+        self._text_cache = {}
+        # Boundary key ``1 << top | prefix`` (one int per top-bit prefix
+        # at an 8-bit boundary) -> (output prefix, the stride's flip
+        # bits).  Every walk fills every boundary above its last stride,
+        # so the memo is prefix-closed.
+        self._strides = {}
+        self.set_shaping(None)
 
-    # -- raw trie walk ---------------------------------------------------
+    # -- the shaping set -------------------------------------------------
+
+    def set_shaping(self, shaping: Optional[Iterable[int]]) -> None:
+        """Install the shaping set Z′ as given (``None``: not fixed yet)
+        and forget every memo, since the pins may have moved."""
+        self.shaping = None if shaping is None else frozenset(shaping)
+        bits = self.bits
+        floor = bits - self.shaping_max_zeros
+        # Boundary key -> digest bits of the stride's pinned nodes.
+        pins = {1: _CLASS_PINS} if self.class_preserving else {}
+        for value in self.shaping or ():
+            first = max(floor, bits - trailing_zero_bits(value, bits))
+            for top in range(first & ~7, bits, 8):
+                key = 1 << top | value >> (bits - top)
+                chunk = value >> (bits - top - 8) & 0xFF
+                pins[key] = pins.get(key, 0) | _path_pins(chunk, max(first - top, 0))
+        self._pins = pins
+        self._raw_cache.clear()
+        self._text_cache.clear()
+        self._strides.clear()
+
+    def freeze(self, values: Iterable[int]) -> None:
+        """The freeze's part: fix Z′ from the scanned *values*, unless
+        this map's lineage already fixed it, then map every value.
+
+        Z′ is the non-special values with at least
+        ``subnet_shaping_min_zeros`` trailing zeros (empty without
+        subnet shaping).  Mapping every value warms the memos, so the
+        rewrite finds the freeze's addresses already mapped.
+        """
+        values = set(values)
+        if self.shaping is None:
+            bits = self.bits
+            self.set_shaping(
+                value
+                for value in values
+                if self.subnet_shaping
+                and trailing_zero_bits(value, bits) >= self.subnet_shaping_min_zeros
+                and not (self.preserve_specials and value in self.specials)
+            )
+        map_int = self.map_int
+        for value in values:
+            map_int(value)
+
+    # -- the keyed walk --------------------------------------------------
+
+    def _stride(self, top: int, prefix: int) -> int:
+        """Flip bits of the stride below the *top*-bit *prefix*."""
+        digest = hmac.digest(self._key, b"%d:%d" % (top, prefix), "sha256")
+        return int.from_bytes(digest, "little") & ~self._pins.get(1 << top | prefix, 0)
 
     def raw_map(self, value: int) -> int:
-        """The pure trie permutation (no special handling)."""
+        """The pure keyed permutation (no special handling)."""
         cached = self._raw_cache.get(value)
         if cached is not None:
             return cached
         bits = self.bits
         if value < 0 or value >> bits:
             raise ValueError("not a {}-bit address: {!r}".format(bits, value))
-        low = bits - 1
-        # Resume below the prefix this value shares with the last walk:
-        # every node down to that depth exists, so skipping those levels
-        # creates no node and draws no RNG bit a full walk would not.
-        last_value, last_output = self._last_walk
-        depth = bits - (value ^ last_value).bit_length() if last_value >= 0 else 0
-        output = last_output >> (bits - depth)
-        flips = self._flips
-        while depth < bits:
-            flip = flips.get((depth, value >> (bits - depth)))
-            if flip is None:
+        strides = self._strides
+        # Start at the deepest boundary already mapped.
+        top = bits - 8
+        entry = strides.get(1 << top | value >> 8)
+        while entry is None and top:
+            top -= 8
+            entry = strides.get(1 << top | value >> (bits - top))
+        if entry is None:
+            if self.shaping is None:
+                # The lineage's first walk fixes Z′ (empty): a later
+                # freeze must not pin a node this walk left unpinned.
+                self.set_shaping(())
+            entry = strides[1] = (0, self._stride(0, 0))
+        output, flips = entry
+        while True:
+            node = 1
+            for shift in range(bits - top - 1, bits - top - 9, -1):
+                bit = value >> shift & 1
+                output = output << 1 | (bit ^ (flips >> node & 1))
+                node = node << 1 | bit
+            top += 8
+            if top == bits:
                 break
-            output = (output << 1) | (((value >> (low - depth)) & 1) ^ flip)
-            depth += 1
-        # Every walk creates its whole path, so below the first missing
-        # node every node is missing too: create the rest in one loop.
-        if depth < bits:
-            # Class nodes, pinned to 0 so classful prefixes survive: the
-            # all-ones paths "", "1", "11", "111" at depths 0-3.
-            class_depth = 4 if self.class_preserving else 0
-            frozen = self._frozen
-            if frozen:
-                key = self._frozen_flip_key
-            else:
-                getrandbits = self._rng.getrandbits
-                pin_depth = bits
-                if self.subnet_shaping:
-                    pin_depth -= self._shapeable_zeros(value)
-            for depth in range(depth, bits):
-                prefix = value >> (bits - depth)
-                class_node = depth < class_depth and prefix == (1 << depth) - 1
-                if frozen:
-                    # Post-freeze flip bits are a pure function of (secret,
-                    # depth, prefix) -- never of `value` or of RNG position
-                    # -- so a node gets the same bit no matter which address
-                    # creates it first, in which process.  The shaping pin
-                    # is deliberately NOT applied: it depends on the
-                    # creating address's zero suffix, which would
-                    # reintroduce order dependence.  Shaping is best-effort
-                    # for addresses the freeze scan missed (per the paper),
-                    # and exact for everything it preloaded.
-                    if class_node:
-                        flip = 0
-                    else:
-                        material = b"%d:%d" % (depth, prefix)
-                        flip = hmac.new(key, material, hashlib.sha256).digest()[0] & 1
-                else:
-                    # Draw even for a pinned node, so the RNG stream
-                    # advances identically whatever the pins (keeps
-                    # unrelated subtrees independent of shaping decisions).
-                    flip = getrandbits(1)
-                    if class_node or depth >= pin_depth:
-                        flip = 0
-                flips[depth, prefix] = flip
-                output = (output << 1) | (((value >> (low - depth)) & 1) ^ flip)
+            prefix = value >> (bits - top)
+            flips = self._stride(top, prefix)
+            strides[1 << top | prefix] = (output, flips)
         self._raw_cache[value] = output
-        self._last_walk = (value, output)
         return output
 
-    def invalidate_cache(self) -> None:
-        """Drop the mapping memos (call after replacing ``_flips``)."""
-        self._raw_cache.clear()
-        self._text_cache.clear()
-        self._last_walk = _NO_WALK
-
-    def freeze(self) -> None:
-        """Detach any *future* flip bits from the RNG stream.
-
-        Before freezing, flip bits are drawn from a salted RNG stream, so
-        the trie depends on insertion order (that is what enables subnet
-        shaping, and what forces sequential file processing).  After
-        :meth:`freeze`, a node created for a previously-unseen prefix gets
-        its flip bit from a keyed hash of ``(depth, prefix)`` — a pure
-        function of the owner secret, independent of when or in which
-        process the node is created.  The mapping-freeze phase preloads
-        every address it can find and then calls this, so that even an
-        address the corpus scan missed maps identically in every worker
-        and in the sequential pipeline.
-
-        Freezing is one-way for a given instance; already-created nodes
-        keep their RNG-drawn bits.
-        """
-        self._frozen = True
-
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def _shapeable_zeros(self, value: int) -> int:
-        """How many trailing zeros of *value* qualify for shaping."""
-        zeros = trailing_zero_bits(value, self.bits)
-        if zeros >= self.subnet_shaping_min_zeros:
-            return min(zeros, self.shaping_max_zeros)
-        return 0
-
-    def preload(self, values: Iterable[int]) -> None:
-        """Map *values* most-trailing-zeros-first, then by value.
-
-        Subnet addresses go in before the hosts below them, so their
-        shaping pins always apply (the freeze's shaping guarantee), and
-        the sorted runs let the resuming walk skip most levels.
-        """
-        bits = self.bits
-        map_int = self.map_int
-        for value in sorted(
-            values, key=lambda v: (bits - trailing_zero_bits(v, bits)) << bits | v
-        ):
-            map_int(value)
+    def stride_digests(self) -> int:
+        """Stride digests computed since the memos were last cleared."""
+        return len(self._strides)
 
     # -- public mapping --------------------------------------------------
 
@@ -400,18 +370,14 @@ class PrefixPreservingMap:
             raise ValueError("missing /len in {!r}".format(text))
         return "{}/{}".format(self.map_address(addr_text), len_text)
 
-    @property
-    def nodes_created(self) -> int:
-        return len(self._flips)
-
 
 class Prefix6PreservingMap(PrefixPreservingMap):
     """The IPv6 map, contributed by the ``ipv6`` recognizer plugin.
 
-    The same trie, freeze contract and text-cache slot as the IPv4 map;
-    only the family differs:
+    The same keyed walk, shaping rule and text-cache slot as the IPv4
+    map; only the family differs:
 
-    * 128 bits, keyed under the ``ip6-trie-*`` domains, so the v6
+    * 128 bits, keyed under the ``ip6-trie`` domain, so the v6
       permutation is independent of the v4 one under the same secret;
     * no class preservation (IPv6 has no classful addressing);
     * specials ``::``, ``::1`` and ``ff00::/8``;

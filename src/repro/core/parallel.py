@@ -1,11 +1,10 @@
 """Parallel network anonymization with frozen mapping state.
 
 The paper's corpus was 4.3M lines.  :meth:`Anonymizer.anonymize_network`
-always freezes the mapping state before any file is rewritten, so a
-file's rewrite no longer depends on the prefix-preserving trie's
-insertion-order RNG stream.  This module runs the rewrite phase, fanning
-it out over a :class:`~concurrent.futures.ProcessPoolExecutor` when
-``jobs > 1``, while keeping the headline guarantee:
+always freezes the mapping state before any file is rewritten.  This
+module runs the rewrite phase, fanning it out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``,
+while keeping the headline guarantee:
 
     **output is byte-identical for any worker count** (``jobs=1``
     included), because all mapping state is frozen before any rewriting
@@ -14,11 +13,10 @@ it out over a :class:`~concurrent.futures.ProcessPoolExecutor` when
 The pipeline:
 
 1. **Freeze** — :meth:`Anonymizer.freeze_mappings` scans the whole corpus
-   once, preloads every address into the IP trie
-   (most-trailing-zeros-first, guaranteeing subnet shaping), pre-hashes
-   the vocabulary, and freezes the trie (any address the scan missed maps
-   through a pure keyed hash instead of the RNG stream, so even a scanner
-   gap cannot introduce order dependence).
+   once, fixes the IP maps' subnet-shaping sets, maps every scanned
+   address and pre-hashes the vocabulary.  Every IP mapping is then a
+   pure function of (salt, shaping set, address), so even an address the
+   scan missed maps the same in every process.
 2. **Publish** — the frozen parent is made visible to every worker
    **once**, via a *snapshot transport*:
 
@@ -35,7 +33,7 @@ The pipeline:
      initializer's arguments.
 
 3. **Rewrite** — a ``fork`` worker adopts the inherited anonymizer as
-   is, so every memo the freeze filled (raw trie walks, words) is warm
+   is, so every memo the freeze filled (address walks, words) is warm
    and the rule dispatch is already compiled; ASN and community memos,
    which the freeze leaves empty, fill lazily in each worker (keyed
    permutations: same values in any process).  Only its fault plan is
@@ -43,7 +41,7 @@ The pipeline:
    ``shm`` or ``pickle`` worker builds an :class:`Anonymizer` *around*
    the snapshot's dicts (``restore(share=True)``: rules and compiled
    regexes are rebuilt in-process, the frozen dicts are adopted, not
-   copied; the raw-walk memo starts cold).  Either way the worker
+   copied; the address-walk memos start cold).  Either way the worker
    rewrites whole files.  Files are batched into **chunked tasks** so
    submit/result overhead is amortized over many small configs; failure
    isolation stays per-file (a chunk catches each file's exceptions
@@ -63,7 +61,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.config import AnonymizerConfig
 from repro.core.engine import Anonymizer
@@ -92,9 +90,11 @@ class FrozenSnapshot:
     """
 
     config: AnonymizerConfig
-    #: ``(flips, frozen)`` per address trie, keyed like
+    #: The shaping set Z′ per address map, keyed like
     #: :meth:`Anonymizer.tries`.
-    tries: Dict[str, Tuple[Dict[Tuple[int, int], int], bool]]
+    tries: Dict[str, Optional[FrozenSet[int]]]
+    #: :attr:`Anonymizer.frozen` at capture time.
+    frozen: bool
     hash_cache: Dict[str, str]
     word_cache: Dict[str, Tuple[str, int, int]]
     asn_cache: Dict[int, int]
@@ -111,9 +111,9 @@ class FrozenSnapshot:
         return cls(
             config=anonymizer.config,
             tries={
-                prefix: (dict(ip_map._flips), ip_map.frozen)
-                for prefix, ip_map in anonymizer.tries().items()
+                prefix: ip_map.shaping for prefix, ip_map in anonymizer.tries().items()
             },
+            frozen=anonymizer.frozen,
             hash_cache=dict(anonymizer.hasher._cache),
             word_cache=dict(anonymizer.token_anon._word_cache),
             asn_cache=dict(anonymizer.asn_map._seen),
@@ -148,10 +148,8 @@ class FrozenSnapshot:
         anonymizer = Anonymizer(config)
         adopt = (lambda d: d) if share else dict
         for prefix, ip_map in anonymizer.tries().items():
-            flips, frozen = self.tries[prefix]
-            ip_map._flips = adopt(flips)
-            if frozen:
-                ip_map.freeze()
+            ip_map.set_shaping(self.tries[prefix])
+        anonymizer.frozen = self.frozen
         anonymizer.hasher._cache = adopt(self.hash_cache)
         anonymizer.token_anon._word_cache = adopt(self.word_cache)
         anonymizer.asn_map._seen = adopt(self.asn_cache)
@@ -204,7 +202,7 @@ def _init_worker(snapshot: FrozenSnapshot) -> None:
 def _init_worker_fork() -> None:
     """``fork`` transport: adopt the inherited frozen parent whole.
 
-    Every memo the freeze filled (raw trie walks, words) and the
+    Every memo the freeze filled (address walks, words) and the
     compiled rule dispatch come along warm; ASN and community memos fill
     lazily in each worker.  Only the fault plan is rebuilt, so injected
     faults count per worker from the same fresh state a restored

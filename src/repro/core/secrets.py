@@ -30,8 +30,3 @@ def derive_key(salt: bytes, purpose: str) -> bytes:
     be related to the string-hashing key even if one is compromised.
     """
     return hmac.new(salt, purpose.encode("utf-8"), hashlib.sha256).digest()
-
-
-def derive_seed_int(salt: bytes, purpose: str) -> int:
-    """Derive an integer seed (for ``random.Random``) for one component."""
-    return int.from_bytes(derive_key(salt, purpose), "big")

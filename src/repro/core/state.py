@@ -6,21 +6,23 @@ snapshots must anonymize *consistently* (the same loopback, route-map
 name, or peer ASN must map identically across uploads) or longitudinal
 research is impossible.
 
-Everything derived purely from the salt (ASN/community Feistel, string
-hashes, Crypto-PAn) is automatically consistent.  The IP trie is not: its
-flip bits also depend on *insertion order* (that is what enables subnet
-shaping), so the trie must be carried forward.  This module serializes the
-full mapping state to a JSON document:
+Every mapping is a keyed function of the salt (ASN/community Feistel,
+string hashes, the IP maps' flip bits), so it is consistent across runs
+by construction — save one input: the IP maps' subnet-shaping sets Z′,
+fixed at the lineage's first freeze.  A later run must shape with the
+same Z′, or nodes an earlier run walked unpinned could become pinned.
+This module serializes the mapping state to a JSON document:
 
     state = export_state(anonymizer)         # dict (JSON-serializable)
     save_state(anonymizer, path)
     anonymizer2 = Anonymizer(config)
     load_state(anonymizer2, path)            # same mappings as anonymizer
 
-The state file contains the trie flip bits and the token-hash cache —
-i.e., material that together with the salt reproduces the mapping.  Treat
-it with the same secrecy as the salt: it reveals original->anonymized
-pairs for everything mapped so far.
+The state file contains each IP map's shaping set and counters and the
+token-hash cache.  Treat it with the same secrecy as the salt: the hash
+cache reveals original->anonymized pairs, and the shaping sets are
+original subnet addresses.  Format 1 documents (which carried the old
+RNG-drawn trie) are refused.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from typing import Dict
 
 from repro.core.engine import Anonymizer
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
+
+#: A delta without a ``<prefix>_shaping`` field leaves Z′ as it is.
+_UNCHANGED = object()
 
 
 class StateError(ValueError):
@@ -45,19 +50,15 @@ class StateError(ValueError):
     """
 
 
-def _trie_fields(prefix: str, ip_map, since: int = 0, rng: bool = True) -> Dict:
-    """One trie's state fields, ``<prefix>_trie`` (the flips past the
-    first *since*), ``<prefix>_rng_state`` (with *rng*) and
+def _trie_fields(prefix: str, ip_map, shaping: bool = True) -> Dict:
+    """One map's state fields: ``<prefix>_shaping`` (Z′ as a sorted list,
+    or null while not fixed yet; with *shaping*) and
     ``<prefix>_counters``."""
-    fields: Dict = {
-        # JSON keys must be strings; "depth:prefix" -> flip bit.
-        prefix + "_trie": {
-            "{}:{}".format(depth, node): flip
-            for (depth, node), flip in islice(ip_map._flips.items(), since, None)
-        }
-    }
-    if rng:
-        fields[prefix + "_rng_state"] = _encode_rng_state(ip_map._rng.getstate())
+    fields: Dict = {}
+    if shaping:
+        fields[prefix + "_shaping"] = (
+            None if ip_map.shaping is None else sorted(ip_map.shaping)
+        )
     fields[prefix + "_counters"] = {
         "collision_walks": ip_map.collision_walks,
         "addresses_mapped": ip_map.addresses_mapped,
@@ -65,42 +66,47 @@ def _trie_fields(prefix: str, ip_map, since: int = 0, rng: bool = True) -> Dict:
     return fields
 
 
-def _decode_trie_fields(document: Dict, prefix: str, require_rng: bool) -> tuple:
-    """``(flips, rng state or None, collision_walks, addresses_mapped)``
-    from one trie's fields; raises on anything malformed."""
-    flips = {
-        (int(key.split(":")[0]), int(key.split(":")[1])): int(flip)
-        for key, flip in document[prefix + "_trie"].items()
-    }
-    rng_key = prefix + "_rng_state"
-    rng_state = None
-    if require_rng or rng_key in document:
-        rng_state = _decode_rng_state(document[rng_key])
+def _decode_trie_fields(document: Dict, prefix: str, ip_map, required: bool) -> tuple:
+    """``(shaping or _UNCHANGED, collision_walks, addresses_mapped)``
+    from one map's fields; raises on anything malformed."""
+    key = prefix + "_shaping"
+    shaping = _UNCHANGED
+    if required or key in document:
+        shaping = document[key]
+        if shaping is not None:
+            shaping = frozenset(shaping)
+            if not all(type(v) is int and 0 <= v and not v >> ip_map.bits for v in shaping):
+                raise ValueError("{} holds a value that is not an address".format(key))
     counters = document[prefix + "_counters"]
     return (
-        flips,
-        rng_state,
+        shaping,
         int(counters["collision_walks"]),
         int(counters["addresses_mapped"]),
     )
 
 
+def _install(ip_map, fields: tuple) -> None:
+    shaping, ip_map.collision_walks, ip_map.addresses_mapped = fields
+    if shaping is not _UNCHANGED:
+        ip_map.set_shaping(shaping)
+
+
 def _present_tries(anonymizer: Anonymizer, document: Dict) -> list:
     """The ``(prefix, map)`` pairs whose fields *document* must carry:
-    the v4 trie always, a plugin trie only where the document has it
+    the v4 map always, a plugin map only where the document has it
     (documents written without that plugin lack its fields)."""
     return [
         (prefix, ip_map)
         for prefix, ip_map in anonymizer.tries().items()
-        if prefix == "ip" or prefix + "_trie" in document
+        if prefix == "ip" or prefix + "_counters" in document
     ]
 
 
 def export_state(anonymizer: Anonymizer) -> Dict:
     """Capture the mapping state of *anonymizer* as a JSON-able dict."""
     tries = iter(anonymizer.tries().items())
-    # save_state writes keys in insertion order: the v4 trie's fields
-    # lead, any plugin trie's fields trail.
+    # save_state writes keys in insertion order: the v4 map's fields
+    # lead, any plugin map's fields trail.
     state = {"format_version": STATE_FORMAT_VERSION, **_trie_fields(*next(tries))}
     state.update(
         hash_cache=dict(anonymizer.hasher._cache),
@@ -160,7 +166,7 @@ def import_state(anonymizer: Anonymizer, state: Dict) -> None:
             )
     try:
         tries = [
-            (ip_map, _decode_trie_fields(state, prefix, require_rng=True))
+            (ip_map, _decode_trie_fields(state, prefix, ip_map, required=True))
             for prefix, ip_map in _present_tries(anonymizer, state)
         ]
         hash_cache = dict(state["hash_cache"])
@@ -172,12 +178,8 @@ def import_state(anonymizer: Anonymizer, state: Dict) -> None:
         ) from exc
     # All fields decoded and validated before any mutation: a malformed
     # document can never leave the anonymizer half-restored.
-    for ip_map, (flips, rng_state, collision_walks, addresses_mapped) in tries:
-        ip_map._flips = flips
-        ip_map.invalidate_cache()  # the trie was replaced wholesale
-        ip_map._rng.setstate(rng_state)
-        ip_map.collision_walks = collision_walks
-        ip_map.addresses_mapped = addresses_mapped
+    for ip_map, fields in tries:
+        _install(ip_map, fields)
     anonymizer.hasher._cache = hash_cache
     anonymizer.report.seen_asns.update(seen_asns)
 
@@ -239,24 +241,24 @@ def load_state(anonymizer: Anonymizer, path: str) -> None:
 
 
 class StateCursor:
-    """A position in an anonymizer's (append-only) mapping state.
+    """A position in an anonymizer's mapping state.
 
-    The IP-trie flip dicts and the token-hash cache only ever *gain*
-    entries (a flip bit or a hash is never rewritten), and CPython dicts
-    preserve insertion order — so "everything mapped since cursor" is
-    simply the entries past the recorded lengths.  ``seen_asns`` is a
-    set (no stable order), so the cursor keeps a frozen copy instead.
-    The service journal uses cursors to write per-request state *deltas*
-    rather than full state documents.
+    The token-hash cache only ever *gains* entries (a hash is never
+    rewritten), and CPython dicts preserve insertion order — so "hashed
+    since cursor" is simply the entries past the recorded length.
+    ``seen_asns`` is a set (no stable order), so the cursor keeps a
+    frozen copy instead, and each map's shaping set is replaced whole
+    when it changes, so the cursor keeps the set it saw.  The service
+    journal uses cursors to write per-request state *deltas* rather than
+    full state documents.
     """
 
-    __slots__ = ("flips_lens", "cache_len", "seen_asns")
+    __slots__ = ("shaping", "cache_len", "seen_asns")
 
     def __init__(self, anonymizer: Anonymizer):
-        #: Flip count per trie, keyed like :meth:`Anonymizer.tries`.
-        self.flips_lens = {
-            prefix: len(ip_map._flips)
-            for prefix, ip_map in anonymizer.tries().items()
+        #: Shaping set per map, keyed like :meth:`Anonymizer.tries`.
+        self.shaping = {
+            prefix: ip_map.shaping for prefix, ip_map in anonymizer.tries().items()
         }
         self.cache_len = len(anonymizer.hasher._cache)
         self.seen_asns = frozenset(anonymizer.report.seen_asns)
@@ -266,11 +268,10 @@ def state_delta_since(anonymizer: Anonymizer, cursor: StateCursor) -> Dict:
     """Mapping-state changes since *cursor*, as a JSON-able dict.
 
     Mirrors :func:`export_state` field for field, but carries only new
-    trie flips / hash-cache entries / ASNs.  A trie's RNG state is
-    included only while it is unfrozen (after a freeze, flip bits are a
-    pure function of the salt and the RNG is never consulted again), and
-    the small absolute counters always travel.  Applying every delta in
-    order on top of a snapshot reproduces :func:`export_state` exactly.
+    hash-cache entries / ASNs, and a map's shaping set only when it
+    changed (in practice: in the freeze record).  The small absolute
+    counters always travel.  Applying every delta in order on top of a
+    snapshot reproduces :func:`export_state` exactly.
     """
     cache_items = islice(
         anonymizer.hasher._cache.items(), cursor.cache_len, None
@@ -280,14 +281,8 @@ def state_delta_since(anonymizer: Anonymizer, cursor: StateCursor) -> Dict:
         "seen_asns": sorted(anonymizer.report.seen_asns - cursor.seen_asns),
     }
     for prefix, ip_map in anonymizer.tries().items():
-        delta.update(
-            _trie_fields(
-                prefix,
-                ip_map,
-                since=cursor.flips_lens.get(prefix, 0),
-                rng=not ip_map.frozen,
-            )
-        )
+        changed = ip_map.shaping is not cursor.shaping.get(prefix)
+        delta.update(_trie_fields(prefix, ip_map, shaping=changed))
     return delta
 
 
@@ -306,7 +301,7 @@ def apply_state_delta(anonymizer: Anonymizer, delta: Dict) -> None:
         )
     try:
         tries = [
-            (ip_map, _decode_trie_fields(delta, prefix, require_rng=False))
+            (ip_map, _decode_trie_fields(delta, prefix, ip_map, required=False))
             for prefix, ip_map in _present_tries(anonymizer, delta)
         ]
         hash_cache = dict(delta["hash_cache"])
@@ -316,28 +311,7 @@ def apply_state_delta(anonymizer: Anonymizer, delta: Dict) -> None:
             "state delta is malformed ({}: {}); was the journal record "
             "truncated or edited?".format(type(exc).__name__, exc)
         ) from exc
-    for ip_map, (flips, rng_state, collision_walks, addresses_mapped) in tries:
-        ip_map._flips.update(flips)
-        # Deltas only ever append nodes the journaling session created,
-        # but a replayed key could in principle collide with a
-        # locally-created node (pre-freeze RNG draws are
-        # position-dependent); drop the raw-map memo so replay can never
-        # serve a mapping computed from stale flips.
-        ip_map.invalidate_cache()
-        if rng_state is not None:
-            ip_map._rng.setstate(rng_state)
-        ip_map.collision_walks = collision_walks
-        ip_map.addresses_mapped = addresses_mapped
+    for ip_map, fields in tries:
+        _install(ip_map, fields)
     anonymizer.hasher._cache.update(hash_cache)
     anonymizer.report.seen_asns.update(seen_asns)
-
-
-def _encode_rng_state(state):
-    """random.Random state -> JSON-able (nested tuples become lists)."""
-    kind, internal, gauss = state
-    return [kind, list(internal), gauss]
-
-
-def _decode_rng_state(encoded):
-    kind, internal, gauss = encoded
-    return (kind, tuple(int(v) for v in internal), gauss)

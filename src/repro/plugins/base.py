@@ -5,8 +5,8 @@ A plugin contributes one *rule family*: a set of
 compiled dispatch layer gates them exactly like the builtin 28), plus
 optional hooks into the two pipeline stages that per-line rules cannot
 reach — the multi-line pre-pass (opaque blobs spanning lines) and the
-corpus-wide freeze scan (preloading an address family's trie before the
-mapping state freezes).
+corpus-wide freeze scan (fixing an address family's subnet-shaping set
+from the corpus and mapping its addresses).
 
 Contracts every plugin must honor (enforced by ``tests/test_plugins.py``
 and the dispatch property test):
@@ -100,9 +100,9 @@ class RecognizerPlugin:
         :class:`~repro.core.engine.Anonymizer` under construction."""
 
     def freeze_scan(self, anonymizer, configs, stats) -> None:
-        """Corpus-wide preload hook, called by
-        :meth:`~repro.core.engine.Anonymizer.freeze_mappings` before the
-        mapping state freezes.  ``stats`` is the run's
+        """Corpus-wide freeze hook, called by
+        :meth:`~repro.core.engine.Anonymizer.freeze_mappings` before any
+        file is rewritten.  ``stats`` is the run's
         :class:`~repro.core.engine.FreezeStats` to annotate."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,9 +2,9 @@
 
 Extends the paper's Section 4.3 trie scheme to 128 bits via
 :class:`~repro.core.ipanon.Prefix6PreservingMap`, the IPv4 trie at
-another width: same per-node flip bits, same freeze contract and preload
-order, keyed under distinct derivation domains so the v6 permutation is
-independent of the v4 one.  Output is RFC 5952
+another width: the same keyed walk and the same shaping rule, keyed
+under a distinct derivation domain so the v6 permutation is independent
+of the v4 one.  Output is RFC 5952
 canonical (zero-compressed, lowercase), so one address renders
 identically however the input spelled it — the cross-file consistency
 the paper requires of every mapping.
@@ -93,8 +93,8 @@ class IPv6Plugin(RecognizerPlugin):
         return ("ipv", "ipv6")
 
     def freeze_scan(self, anonymizer, configs, stats) -> None:
-        """Preload every corpus IPv6 address into the trie before it
-        freezes, in the same shaping order as the IPv4 preload."""
+        """Fix the IPv6 shaping set from every corpus IPv6 address and
+        map each one, as the IPv4 freeze does."""
         ip6_map = anonymizer.ip6_map
         if ip6_map is None:
             return
@@ -110,7 +110,7 @@ class IPv6Plugin(RecognizerPlugin):
                 values.add(ip6_to_int(token))
             except ValueError:
                 continue
-        ip6_map.preload(values)
+        ip6_map.freeze(values)
         stats.ipv6_addresses = len(values)
 
 

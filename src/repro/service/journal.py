@@ -73,7 +73,7 @@ __all__ = [
     "replay_into",
 ]
 
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 META_NAME = "meta.json"
 SNAPSHOT_NAME = "snapshot.json"
@@ -676,7 +676,6 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
                 requests_replayed += 1
             elif op == "freeze":
                 apply_state_delta(anonymizer, record["delta"])
-                anonymizer.mark_frozen()
                 frozen = True
                 frozen_implicitly = bool(record.get("implicit"))
                 freeze_stats = record.get("stats")
@@ -694,8 +693,7 @@ def replay_into(anonymizer, recovered: RecoveredSession) -> Dict:
                 recovered.session_id, type(exc).__name__, exc
             )
         ) from exc
-    if frozen:
-        anonymizer.mark_frozen()
+    anonymizer.frozen = frozen
     return {
         "frozen": frozen,
         "frozen_implicitly": frozen_implicitly,

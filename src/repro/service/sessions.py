@@ -347,7 +347,7 @@ class Session:
                 return dict(self._committed[idempotency_key], replayed=True)
             if not self.anonymizer.frozen:
                 # Nobody froze this session: freeze it over an empty
-                # manifest, so flip bits are keyed hashes and the output
+                # manifest, so its shaping sets are fixed and the output
                 # does not depend on request order.
                 self._freeze_locked({}, implicit=True)
             try:

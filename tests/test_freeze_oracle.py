@@ -1,29 +1,31 @@
-"""The freeze against a reference copy of its earlier form.
+"""The freeze's shaping set against Minshall's stored trie.
 
-``Anonymizer.freeze_mappings`` finds addresses in the corpus's distinct
-words, sorts them by one int key, fills the trie by creating each walk's
-missing tail in one loop, and leaves the ASN and community memos to the
-rewrite.  The reference below does it the earlier way: a regexp scan of
-every text, a tuple sort, a walk that probes every node and draws each
-flip bit through a per-node call, and an ASN/community warm-up scan.
-Both must leave the same trie, RNG state and memos behind and produce
-the same bytes and report.
+``Anonymizer.freeze_mappings`` fixes a shaping set Z′ and pins, besides
+the class nodes, every node ``(d, p)`` with ``d >= bits - cap`` whose
+zero extension ``p << (bits - d)`` lies in Z′.  The reference below is
+the freeze as a stored trie did it: a regexp scan of every text, then
+every non-special address inserted most-trailing-zeros-first, each new
+node's flip bit drawn from an RNG and pinned to zero on the class path
+or along the inserting address's capped zero tail.  With the RNG forced
+to 1, the reference's zero flips are exactly its pinned nodes, and they
+must equal the class nodes plus the Z′-rule nodes.
 """
 
 import functools
-import hashlib
-import hmac
+import json
 import os
-import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import DOTTED_QUAD_RE, Anonymizer, FreezeStats
+from repro.core.engine import DOTTED_QUAD_RE, Anonymizer
 from repro.core.ipanon import Prefix6PreservingMap, PrefixPreservingMap
 from repro.iosgen import NetworkSpec, generate_network
-from repro.netutil import int_to_ip, ip_to_int, trailing_zero_bits
+from repro.iosgen.dataset import paper_dataset_specs
+from repro.netutil import int_to_ip, ip6_to_int, ip_to_int, trailing_zero_bits
+from repro.plugins.builtin.ipv6 import CANDIDATE_RE
 from repro.plugins.registry import resolve_active_plugins
 
 
@@ -32,67 +34,54 @@ def _examples(default):
     return int(os.environ.get("REPRO_FUZZ_EXAMPLES", default))
 
 
-# -- the reference freeze ---------------------------------------------------
-
-_ASN_CONTEXT_RE = re.compile(
-    r"\b(?:router bgp|remote-as|local-as|peer-as|autonomous-system|"
-    r"bgp confederation identifier|set origin egp) (\d+)\b",
-    re.IGNORECASE,
-)
-_COMMUNITY_TOKEN_RE = re.compile(r"\b\d{1,5}:\d{1,5}\b")
-_CLASS_NODES = frozenset((depth, (1 << depth) - 1) for depth in range(4))
+# -- the reference trie -----------------------------------------------------
 
 
-class _ReferenceWalk:
-    """A walk from the root that probes every node and creates each
-    missing one through :meth:`_new_flip`."""
-
-    BITS = 32
-
-    def raw_map(self, value):
-        cached = self._raw_cache.get(value)
-        if cached is not None:
-            return cached
-        bits = self.BITS
-        if not 0 <= value <= (1 << bits) - 1:
-            raise ValueError(value)
-        output = 0
+def reference_flips(ip_map, values):
+    """The stored trie a freeze over *values* left behind, for *ip_map*'s
+    options, with every RNG draw forced to 1: ``{(depth, prefix): flip}``."""
+    bits = ip_map.bits
+    flips = {}
+    for value in sorted(values, key=lambda v: (-trailing_zero_bits(v, bits), v)):
+        if ip_map.preserve_specials and value in ip_map.specials:
+            continue
+        zeros = trailing_zero_bits(value, bits)
+        shapeable = 0
+        if ip_map.subnet_shaping and zeros >= ip_map.subnet_shaping_min_zeros:
+            shapeable = min(zeros, ip_map.shaping_max_zeros)
         for depth in range(bits):
-            prefix = value >> (bits - depth)
-            flip = self._flips.get((depth, prefix))
-            if flip is None:
-                flip = self._new_flip(depth, prefix, value)
-                self._flips[depth, prefix] = flip
-            output = (output << 1) | (((value >> (bits - 1 - depth)) & 1) ^ flip)
-        self._raw_cache[value] = output
-        self._last_walk = (value, output)
-        return output
-
-    def _class_node(self, depth, prefix):
-        return False
-
-    def _new_flip(self, depth, prefix, value):
-        bits = self.BITS
-        if self._frozen:
-            material = b"%d:%d" % (depth, prefix)
-            digest = hmac.new(self._frozen_flip_key, material, hashlib.sha256)
-            return 0 if self._class_node(depth, prefix) else digest.digest()[0] & 1
-        drawn = self._rng.getrandbits(1)
-        if self._class_node(depth, prefix):
-            return 0
-        if self.subnet_shaping and value & ((1 << (bits - depth)) - 1) == 0:
-            if bits - depth <= self._shapeable_zeros(value):
-                return 0
-        return drawn
+            node = (depth, value >> (bits - depth))
+            if node in flips:
+                continue
+            flip = 1  # the RNG draw
+            if ip_map.class_preserving and depth < 4 and node[1] == (1 << depth) - 1:
+                flip = 0
+            if depth >= bits - shapeable:
+                flip = 0
+            flips[node] = flip
+    return flips
 
 
-class _ReferenceMap(_ReferenceWalk, PrefixPreservingMap):
-    def _class_node(self, depth, prefix):
-        return self.class_preserving and (depth, prefix) in _CLASS_NODES
+def rule_pins(ip_map, nodes):
+    """The class nodes among *nodes*, plus every node the Z′ rule pins
+    for *ip_map*'s shaping set."""
+    bits = ip_map.bits
+    pins = {
+        (depth, prefix)
+        for depth, prefix in nodes
+        if ip_map.class_preserving and depth < 4 and prefix == (1 << depth) - 1
+    }
+    for value in ip_map.shaping:
+        first = max(bits - ip_map.shaping_max_zeros, bits - trailing_zero_bits(value, bits))
+        pins.update((depth, value >> (bits - depth)) for depth in range(first, bits))
+    return pins
 
 
-class _ReferenceMap6(_ReferenceWalk, Prefix6PreservingMap):
-    BITS = 128
+def assert_pins_match(ip_map, values):
+    flips = reference_flips(ip_map, values)
+    pinned = {node for node, flip in flips.items() if flip == 0}
+    assert pinned == rule_pins(ip_map, flips)
+    return pinned
 
 
 def _text_scan(configs):
@@ -109,77 +98,33 @@ def _text_scan(configs):
     return seen
 
 
-def reference_freeze(anonymizer, configs):
-    """The freeze as it was: text scan, tuple sort, per-node walk, and
-    the ASN/community warm-up.  Swaps in the reference trie walk, which
-    stays in place for the rewrite's post-freeze walks too."""
-    anonymizer.ip_map.__class__ = _ReferenceMap
-    if anonymizer.ip6_map is not None:
-        anonymizer.ip6_map.__class__ = _ReferenceMap6
-    stats = FreezeStats()
+def _text_scan6(configs):
+    """Every IPv6 address the ``ipv6`` plugin's candidate regexp finds."""
+    seen = set()
+    for text in configs.values():
+        for match in CANDIDATE_RE.finditer(text):
+            if match.group(1).count(":") >= 2:
+                try:
+                    seen.add(ip6_to_int(match.group(1)))
+                except ValueError:
+                    continue
+    return seen
+
+
+def assert_freeze_matches_reference(configs, plugins=None, salt=b"oracle"):
+    """Freeze *configs* and check both maps' pins against the reference
+    over a plain text scan of the same corpus."""
+    anonymizer = Anonymizer(salt=salt, plugins=plugins)
+    stats = anonymizer.freeze_mappings(dict(configs))
     addresses = _text_scan(configs)
     system_ids = anonymizer._scan_system_ids(configs) - addresses
-    stats.addresses = len(addresses)
-    stats.system_ids = len(system_ids)
-    ordered = sorted(addresses | system_ids, key=lambda v: (-trailing_zero_bits(v), v))
-    for value in ordered:
-        anonymizer.ip_map.map_int(value)
-    warm = anonymizer.token_anon.warm
-    words = set()
-    for text in configs.values():
-        words.update(text.split())
-    stats.words_warmed = sum(1 for word in words if warm(word))
-    for text in configs.values():
-        for match in _ASN_CONTEXT_RE.finditer(text):
-            asn = int(match.group(1))
-            if asn <= 0xFFFF:
-                anonymizer.asn_map.map_asn(asn)
-        for match in _COMMUNITY_TOKEN_RE.finditer(text):
-            anonymizer.community.map_community(match.group(0))
-    for plugin in anonymizer.plugins:
-        plugin.freeze_scan(anonymizer, configs, stats)
-    anonymizer.mark_frozen()
-    anonymizer.last_freeze_stats = stats
-    return stats
-
-
-def _trie_state(ip_map):
-    if ip_map is None:
-        return None
-    return (
-        list(ip_map._flips.items()),
-        ip_map._rng.getstate(),
-        list(ip_map._raw_cache.items()),
-        ip_map.addresses_mapped,
-    )
-
-
-def _freeze_and_rewrite(freeze, configs, plugins, salt=b"oracle"):
-    anonymizer = Anonymizer(salt=salt, plugins=plugins)
-    stats = freeze(anonymizer, dict(configs))
-    frozen = (_trie_state(anonymizer.ip_map), _trie_state(anonymizer.ip6_map))
-    outputs = {
-        name: anonymizer.anonymize_text(text, source=name)
-        for name, text in sorted(configs.items())
-    }
-    return {
-        "frozen": frozen,
-        "stats": stats,
-        "outputs": outputs,
-        "report": anonymizer.report.to_dict(),
-        "after": (_trie_state(anonymizer.ip_map), _trie_state(anonymizer.ip6_map)),
-    }
-
-
-def _assert_same_as_reference(configs, plugins):
-    expected = _freeze_and_rewrite(reference_freeze, configs, plugins)
-    actual = _freeze_and_rewrite(Anonymizer.freeze_mappings, configs, plugins)
-    assert actual["frozen"] == expected["frozen"]
-    assert actual["stats"] == expected["stats"]
-    assert actual["outputs"] == expected["outputs"]
-    assert actual["report"] == expected["report"]
-    assert actual["after"] == expected["after"]
-    return actual
+    assert (stats.addresses, stats.system_ids) == (len(addresses), len(system_ids))
+    assert_pins_match(anonymizer.ip_map, addresses | system_ids)
+    if anonymizer.ip6_map is not None:
+        values6 = _text_scan6(configs)
+        assert stats.ipv6_addresses == len(values6)
+        assert_pins_match(anonymizer.ip6_map, values6)
+    return anonymizer, stats
 
 
 # -- seeded networks --------------------------------------------------------
@@ -228,13 +173,29 @@ def _network(kind):
 @pytest.mark.parametrize("plugins", [None, ()], ids=["all-plugins", "no-plugins"])
 @pytest.mark.parametrize("kind", sorted(_NETWORKS))
 def test_freeze_matches_reference_on_network(kind, plugins):
-    actual = _assert_same_as_reference(_network(kind), plugins)
-    assert actual["stats"].addresses > 0
-    assert actual["stats"].system_ids == 1
+    anonymizer, stats = assert_freeze_matches_reference(_network(kind), plugins)
+    assert stats.addresses > 0 and anonymizer.ip_map.shaping
+    assert stats.system_ids == 1
     # plugins=None honours REPRO_PLUGINS_DISABLE, which may turn ipv6 off.
     active = {plugin.family for plugin in resolve_active_plugins(plugins)}
     if kind == "enterprise" and "ipv6" in active:
-        assert actual["stats"].ipv6_addresses > 0
+        assert stats.ipv6_addresses > 0 and anonymizer.ip6_map.shaping
+
+
+@pytest.mark.parametrize("name", ["net01", "net04", "net12"])
+def test_freeze_matches_reference_on_paper_network(name):
+    (spec,) = [spec for spec in paper_dataset_specs(42, 0.1) if spec.name == name]
+    anonymizer, stats = assert_freeze_matches_reference(
+        generate_network(spec).configs, plugins=()
+    )
+    assert len(anonymizer.ip_map.shaping) > stats.addresses // 4
+
+
+def test_freeze_matches_reference_on_dualstack_corpus():
+    fixture = Path(__file__).parent / "data" / "dualstack_eos" / "configs.json"
+    configs = json.loads(fixture.read_text())
+    anonymizer, stats = assert_freeze_matches_reference(configs, ["blobs", "eos", "ipv6"])
+    assert stats.ipv6_addresses > 0 and anonymizer.ip6_map.shaping
 
 
 # -- random texts -----------------------------------------------------------
@@ -268,14 +229,14 @@ _digits = st.text(alphabet="0123456789.\u0663\u0967", min_size=1, max_size=16)
 
 
 def _with_zero_tail(bits):
-    """Values with 0 to 12 trailing zeros forced, so subnet addresses with
-    every zero count meet in one sort; half from the upper half of the
-    space, which plain integer draws seldom reach."""
+    """Values with 0 to 12 (or any number of) trailing zeros forced, so
+    subnet addresses with every zero count meet in one sort; half from
+    the upper half of the space, which plain integer draws seldom reach."""
     top = 1 << bits
     return st.builds(
         lambda value, zeros: value >> zeros << zeros,
         st.integers(0, top - 1) | st.integers(top >> 1, top - 1),
-        st.integers(0, 12),
+        st.integers(0, 12) | st.integers(0, bits),
     )
 
 
@@ -319,30 +280,22 @@ def test_freeze_matches_reference_on_random_texts(texts, quads, plugins):
     configs = {"r{}.cfg".format(index): text for index, text in enumerate(texts)}
     # Many addresses in one file, so the sort meets every zero count.
     configs["quads.cfg"] = " ".join(quads)
-    _assert_same_as_reference(configs, plugins)
+    assert_freeze_matches_reference(configs, plugins)
 
 
-# -- the trie alone ---------------------------------------------------------
+# -- the map alone ----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "new, reference",
-    [(PrefixPreservingMap, _ReferenceMap), (Prefix6PreservingMap, _ReferenceMap6)],
-    ids=["v4", "v6"],
+    "make, bits", [(PrefixPreservingMap, 32), (Prefix6PreservingMap, 128)], ids=["v4", "v6"]
 )
 @settings(max_examples=_examples(60), deadline=None)
-@given(data=st.data(), freeze_at=st.integers(0, 40), shaping=st.booleans())
-def test_trie_matches_reference_walk(new, reference, data, freeze_at, shaping):
-    # Without special passthrough every value is walked, class D and E
-    # included, so the class nodes are created before and after a freeze.
-    options = {"subnet_shaping": shaping, "preserve_specials": False}
-    if new is PrefixPreservingMap:
+@given(data=st.data(), shaping=st.booleans(), specials=st.booleans())
+def test_trie_matches_reference_walk(make, bits, data, shaping, specials):
+    options = {"subnet_shaping": shaping, "preserve_specials": specials}
+    if make is PrefixPreservingMap:
         options["class_preserving"] = data.draw(st.booleans())
-    maps = [new(b"trie", **options), reference(b"trie", **options)]
-    values = data.draw(st.lists(_with_zero_tail(reference.BITS), max_size=40))
-    for index, value in enumerate(values):
-        if index == freeze_at:
-            for ip_map in maps:
-                ip_map.freeze()
-        assert maps[0].map_int(value) == maps[1].map_int(value)
-    assert _trie_state(maps[0]) == _trie_state(maps[1])
+    ip_map = make(b"trie", **options)
+    values = data.draw(st.lists(_with_zero_tail(bits), max_size=40))
+    ip_map.freeze(values)
+    assert_pins_match(ip_map, values)

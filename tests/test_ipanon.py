@@ -1,19 +1,20 @@
 """Tests for prefix-preserving IP anonymization — the paper's key
 algorithmic invariants (Section 4.3), several property-based."""
 
+import hmac
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cryptopan import CryptoPanMap
 from repro.core.ipanon import (
-    _NO_WALK,
     Prefix6PreservingMap,
     PrefixPreservingMap,
     SpecialAddresses,
 )
+from repro.core import Anonymizer, AnonymizerConfig
+from repro.core.state import export_state, import_state
 from repro.netutil import IPV6_MAX, address_class, ip_to_int, trailing_zero_bits
 
 addresses = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -253,28 +254,45 @@ class TestSpecialHandling6(_collision_properties(_V6)):
 class TestSubnetShaping:
     def test_subnet_address_maps_to_subnet_address(self):
         mapping = PrefixPreservingMap(b"shape")
-        # Insert the subnet address FIRST (the paper's best-effort case).
+        mapping.freeze([ip_to_int("10.1.1.0")])
         mapped = mapping.map_address("10.1.1.0")
         assert trailing_zero_bits(ip_to_int(mapped)) >= 8
 
     def test_hosts_follow_shaped_subnet(self):
         mapping = PrefixPreservingMap(b"shape2")
-        subnet = ip_to_int(mapping.map_address("10.1.1.0"))
+        mapping.freeze([ip_to_int("10.1.1.0")])
         host = ip_to_int(mapping.map_address("10.1.1.5"))
+        subnet = ip_to_int(mapping.map_address("10.1.1.0"))
         assert shared_prefix_len(subnet, host) >= 24
 
     def test_shaping_can_be_disabled(self):
         mapping = PrefixPreservingMap(b"shape3", subnet_shaping=False)
-        shaped = sum(
-            trailing_zero_bits(ip_to_int(mapping.map_address("10.{}.0.0".format(i)))) >= 16
-            for i in range(1, 30)
-        )
+        subnets = [ip_to_int("10.{}.0.0".format(i)) for i in range(1, 30)]
+        mapping.freeze(subnets)
+        assert mapping.shaping == frozenset()
+        shaped = sum(trailing_zero_bits(mapping.map_int(v)) >= 16 for v in subnets)
         assert shaped < 10  # random tails rarely have 16 zero bits
 
     def test_min_zeros_threshold(self):
         mapping = PrefixPreservingMap(b"shape4", subnet_shaping_min_zeros=2)
-        mapped = ip_to_int(mapping.map_address("10.1.1.4"))  # /30 base
+        mapping.freeze([ip_to_int("10.1.1.4"), ip_to_int("10.1.1.6")])
+        assert mapping.shaping == {ip_to_int("10.1.1.4")}  # /30 base only
+        mapped = ip_to_int(mapping.map_address("10.1.1.4"))
         assert trailing_zero_bits(mapped) >= 2
+
+    def test_shaping_set_is_fixed_once(self):
+        mapping = PrefixPreservingMap(b"shape5")
+        mapping.freeze([ip_to_int("10.1.1.0")])
+        mapping.freeze([ip_to_int("10.2.2.0")])
+        assert mapping.shaping == {ip_to_int("10.1.1.0")}
+        assert mapping.addresses_mapped == 2
+
+    def test_mapping_before_the_freeze_fixes_an_empty_set(self):
+        mapping = PrefixPreservingMap(b"shape6")
+        host = mapping.map_address("10.1.1.5")
+        mapping.freeze([ip_to_int("10.1.1.0")])
+        assert mapping.shaping == frozenset()
+        assert mapping.map_address("10.1.1.5") == host
 
 
 class TestPrefixHelpers:
@@ -291,13 +309,16 @@ class TestPrefixHelpers:
         mapping = PrefixPreservingMap(b"p")
         mapping.map_address("10.0.0.1")
         assert mapping.addresses_mapped == 1
-        assert mapping.nodes_created > 0
+        assert mapping.stride_digests == 4
 
 
 class TestCryptoPan:
+    """Without a shaping set the map is Xu's Crypto-PAn with class
+    preservation: a keyed flip-bit PRF, so little state to share."""
+
     def test_stateless_consistency(self):
-        a = CryptoPanMap(b"k")
-        b = CryptoPanMap(b"k")
+        a = PrefixPreservingMap(b"k")
+        b = PrefixPreservingMap(b"k")
         # Map in different orders: outputs must agree (the paper's point
         # about Xu's scheme needing little shared state).
         addrs = ["10.0.0.1", "1.2.3.4", "6.6.6.6", "150.20.3.9"]
@@ -308,7 +329,7 @@ class TestCryptoPan:
     @settings(max_examples=60, deadline=None)
     @given(a=addresses, b=addresses)
     def test_prefix_preserving(self, a, b):
-        mapping = CryptoPanMap(b"prop", preserve_specials=False)
+        mapping = PrefixPreservingMap(b"prop", preserve_specials=False)
         assert shared_prefix_len(mapping.raw_map(a), mapping.raw_map(b)) == (
             shared_prefix_len(a, b)
         )
@@ -316,162 +337,173 @@ class TestCryptoPan:
     @settings(max_examples=60, deadline=None)
     @given(addresses)
     def test_class_preserved(self, value):
-        mapping = CryptoPanMap(b"cls", preserve_specials=False)
+        mapping = PrefixPreservingMap(b"cls", preserve_specials=False)
         assert address_class(mapping.raw_map(value)) == address_class(value)
 
     def test_specials_fixed(self):
-        mapping = CryptoPanMap(b"fix")
+        mapping = PrefixPreservingMap(b"fix")
         assert mapping.map_address("255.255.0.0") == "255.255.0.0"
         assert mapping.map_address("224.1.2.3") == "224.1.2.3"
 
     def test_no_insertion_order_dependence_vs_trie(self):
-        # The trie map's subnet shaping depends on insertion order; the
-        # crypto map's output for one address never does.
-        trie1 = PrefixPreservingMap(b"o")
-        trie2 = PrefixPreservingMap(b"o")
-        trie1.map_address("10.1.1.5")     # host first
-        trie1_sub = trie1.map_address("10.1.1.0")
-        trie2_sub = trie2.map_address("10.1.1.0")  # subnet first
-        crypto1 = CryptoPanMap(b"o")
-        crypto2 = CryptoPanMap(b"o")
-        crypto1.map_address("10.1.1.5")
-        assert crypto1.map_address("10.1.1.0") == crypto2.map_address("10.1.1.0")
-        # (the trie outputs may or may not differ; both stay valid mappings)
-        assert trie1_sub != "" and trie2_sub != ""
+        # Shaping no longer depends on insertion order either: with the
+        # subnet in the shaping set, host-first and subnet-first agree.
+        scanned = [ip_to_int("10.1.1.5"), ip_to_int("10.1.1.0")]
+        host_first, subnet_first = PrefixPreservingMap(b"o"), PrefixPreservingMap(b"o")
+        host_first.freeze(scanned)
+        subnet_first.freeze(reversed(scanned))
+        host_first.map_address("10.1.1.5")
+        assert host_first.map_address("10.1.1.0") == subnet_first.map_address("10.1.1.0")
+        # The same salt without a shaping set is a different, unshaped map.
+        crypto = PrefixPreservingMap(b"o")
+        assert crypto.map_address("10.1.1.5") != host_first.map_address("10.1.1.5")
 
 
-class _ColdWalk:
-    """Forgets the previous walk before every trie walk, so each one
-    starts at the root: the reference the resuming walk must match."""
-
-    def raw_map(self, value):
-        self._last_walk = _NO_WALK
-        return super().raw_map(value)
-
-
-class _ColdMap(_ColdWalk, PrefixPreservingMap):
-    pass
-
-
-class _ColdMap6(_ColdWalk, Prefix6PreservingMap):
-    pass
+def _cold_raw_map(ip_map, value):
+    """The keyed walk as the rules state it: 32 (or 128) levels from the
+    root, one digest per node, and the class and Z′ pins tested per node."""
+    bits = ip_map.bits
+    output = 0
+    for depth in range(bits):
+        top, level = depth - depth % 8, depth % 8
+        digest = hmac.digest(
+            ip_map._key, b"%d:%d" % (top, value >> (bits - top)), "sha256"
+        )
+        prefix = value >> (bits - depth)
+        flip = int.from_bytes(digest, "little") >> (1 << level | prefix % (1 << level)) & 1
+        if ip_map.class_preserving and depth < 4 and prefix == (1 << depth) - 1:
+            flip = 0
+        if depth >= bits - ip_map.shaping_max_zeros and (
+            prefix << (bits - depth) in (ip_map.shaping or ())
+        ):
+            flip = 0
+        output = output << 1 | ((value >> (bits - 1 - depth)) & 1) ^ flip
+    return output
 
 
 @st.composite
 def clustered_values(draw, bits):
-    """Values around a few bases, so consecutive walks share long prefixes
-    (the freeze's sorted runs) as well as diverging near the root."""
+    """Values around a few bases, so walks share long prefixes as well as
+    diverging near the root; some with forced zero tails."""
     bases = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=4))
     values = []
     for _ in range(draw(st.integers(1, 40))):
         low_bits = draw(st.integers(0, bits))
-        values.append(draw(st.sampled_from(bases)) ^ draw(st.integers(0, (1 << low_bits) - 1)))
-    if draw(st.booleans()):  # the freeze's order: most trailing zeros first
-        values.sort(key=lambda v: (-(((v & -v).bit_length() - 1) if v else bits), v))
+        value = draw(st.sampled_from(bases)) ^ draw(st.integers(0, (1 << low_bits) - 1))
+        zeros = draw(st.sampled_from([0, 0, 2, 8, 16, 64]))
+        values.append(value >> zeros << zeros if zeros < bits else 0)
     return values
 
 
-def _import_state(ip_map, donor):
-    """The state-import path: replace the trie wholesale, then invalidate."""
-    ip_map._flips = dict(donor._flips)
-    ip_map._rng.setstate(donor._rng.getstate())
-    ip_map.invalidate_cache()
-
-
-def _trie_state(ip_map):
-    return (
-        list(ip_map._flips.items()),
-        list(ip_map._raw_cache.items()),
-        ip_map.addresses_mapped,
-        ip_map.collision_walks,
-        ip_map.collision_allowed,
-    )
-
-
 class TestPrefixResumingWalk:
-    """The walk that resumes below the previous walk's shared prefix
-    creates the same nodes, in the same order, as a walk from the root."""
+    """The walk that resumes at the deepest memoized 8-bit boundary maps
+    every value as a cold per-node walk from the root does."""
 
-    def _run(self, make, values, donor_values, freeze_at, import_at):
-        resumed, cold, donor = make(False), make(True), make(False)
-        for value in donor_values:
-            donor.map_int(value)
-        outputs = ([], [])
-        for index, value in enumerate(values):
-            for ip_map in (resumed, cold):
-                if index == freeze_at:
-                    ip_map.freeze()
-                if index == import_at:
-                    _import_state(ip_map, donor)
-            outputs[0].append(resumed.map_int(value))
-            outputs[1].append(cold.map_int(value))
-        assert outputs[0] == outputs[1]
-        assert _trie_state(resumed) == _trie_state(cold)
+    def _run(self, ip_map, values, scanned):
+        ip_map.freeze(scanned)
+        for value in values:
+            assert ip_map.raw_map(value) == _cold_raw_map(ip_map, value)
+        for value in values:  # memoized repeats
+            assert ip_map.raw_map(value) == _cold_raw_map(ip_map, value)
 
     @settings(max_examples=_examples(80), deadline=None)
     @given(
         values=clustered_values(32),
-        donor_values=clustered_values(32),
+        scanned=clustered_values(32),
         class_preserving=st.booleans(),
         subnet_shaping=st.booleans(),
-        policy=st.sampled_from(["walk", "allow"]),
-        freeze_at=st.integers(0, 45),
-        import_at=st.one_of(st.none(), st.integers(0, 45)),
     )
-    def test_v4_matches_cold_walk(
-        self, values, donor_values, class_preserving, subnet_shaping, policy,
-        freeze_at, import_at,
-    ):
-        def make(cold):
-            return (_ColdMap if cold else PrefixPreservingMap)(
-                b"resume",
-                class_preserving=class_preserving,
-                subnet_shaping=subnet_shaping,
-                collision_policy=policy,
-            )
+    def test_v4_matches_cold_walk(self, values, scanned, class_preserving, subnet_shaping):
+        ip_map = PrefixPreservingMap(
+            b"resume", class_preserving=class_preserving, subnet_shaping=subnet_shaping
+        )
+        self._run(ip_map, values, scanned)
 
-        self._run(make, values, donor_values, freeze_at, import_at)
-
-    @settings(max_examples=_examples(60), deadline=None)
+    @settings(max_examples=_examples(30), deadline=None)
     @given(
         values=clustered_values(128),
-        donor_values=clustered_values(128),
+        scanned=clustered_values(128),
         subnet_shaping=st.booleans(),
-        policy=st.sampled_from(["walk", "allow"]),
-        freeze_at=st.integers(0, 45),
-        import_at=st.one_of(st.none(), st.integers(0, 45)),
     )
-    def test_v6_matches_cold_walk(
-        self, values, donor_values, subnet_shaping, policy, freeze_at, import_at
-    ):
-        def make(cold):
-            return (_ColdMap6 if cold else Prefix6PreservingMap)(
-                b"resume6", subnet_shaping=subnet_shaping, collision_policy=policy
-            )
-
-        self._run(make, values, donor_values, freeze_at, import_at)
+    def test_v6_matches_cold_walk(self, values, scanned, subnet_shaping):
+        ip_map = Prefix6PreservingMap(b"resume6", subnet_shaping=subnet_shaping)
+        self._run(ip_map, values, scanned)
 
     def test_walk_resumes_at_divergence_depth(self):
-        class CountingDict(dict):
-            probes = 0
-
-            def get(self, key, default=None):
-                CountingDict.probes += 1
-                return super().get(key, default)
-
         ip_map = PrefixPreservingMap(b"resume")
-        ip_map._flips = CountingDict()
-        ip_map.invalidate_cache()
         ip_map.map_address("10.1.1.4")
-        # The first walk starts at the root; the empty trie's root is
-        # missing, so every node below it is created without a probe.
-        assert CountingDict.probes == 1
-        nodes = ip_map.nodes_created
-        # 10.1.1.6 shares 30 bits with 10.1.1.4: only depths 30 and 31 are
-        # probed, and the one new node is the depth-31 node of 10.1.1.6.
+        # The first walk computes the digest of every stride on its path.
+        assert ip_map.stride_digests == 4
+        # 10.1.1.6 shares the /24 boundary with 10.1.1.4: no new digest.
         ip_map.map_address("10.1.1.6")
-        assert CountingDict.probes == 3
-        assert ip_map.nodes_created == nodes + 1
-        assert ip_map._last_walk[0] == ip_to_int("10.1.1.6")
-        ip_map.invalidate_cache()
-        assert ip_map._last_walk == _NO_WALK
+        assert ip_map.stride_digests == 4
+        # 10.1.2.1 resumes at the /16 boundary and adds the new /24's.
+        ip_map.map_address("10.1.2.1")
+        assert ip_map.stride_digests == 5
+        ip_map.set_shaping(None)
+        assert ip_map.stride_digests == 0
+
+
+def _order_independent(make, values, scanned, order):
+    """Map *values* in two orders in fresh maps frozen over *scanned*,
+    and return both output lists in the first order."""
+    outputs = []
+    for permutation in (range(len(values)), order):
+        ip_map = make()
+        ip_map.freeze(scanned)
+        mapped = {values[i]: ip_map.map_int(values[i]) for i in permutation}
+        outputs.append([mapped[v] for v in values])
+    return outputs
+
+
+class TestOrderIndependence:
+    """The same values mapped in two random orders map identically, in
+    fresh maps and after a state import."""
+
+    @settings(max_examples=_examples(40), deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from([_V4, _V6]),
+        shaping=st.booleans(),
+        policy=st.sampled_from(["allow", "walk"]),
+    )
+    def test_fresh_maps(self, data, family, shaping, policy):
+        values = list(dict.fromkeys(data.draw(clustered_values(family.bits))))
+        order = data.draw(st.permutations(range(len(values))))
+        scanned = data.draw(st.lists(st.sampled_from(values)))
+
+        def make():
+            return family.make(b"order", subnet_shaping=shaping, collision_policy=policy)
+
+        first, second = _order_independent(make, values, scanned, order)
+        assert first == second
+
+    @settings(max_examples=_examples(20), deadline=None)
+    @given(
+        data=st.data(),
+        shaping=st.booleans(),
+        policy=st.sampled_from(["allow", "walk"]),
+    )
+    def test_after_state_import(self, data, shaping, policy):
+        config = AnonymizerConfig(
+            salt=b"order", plugins=["ipv6"], subnet_shaping=shaping,
+            ip_collision_policy=policy,
+        )
+        donor = Anonymizer(config)
+        v4 = data.draw(clustered_values(32))
+        v6 = data.draw(clustered_values(128))
+        donor.ip_map.freeze(v4[::2])
+        donor.ip6_map.freeze(v6[::2])
+        state = export_state(donor)
+        for values, prefix in ((v4, "ip"), (v6, "ip6")):
+            values = list(dict.fromkeys(values))
+            order = data.draw(st.permutations(range(len(values))))
+            outputs = []
+            for permutation in (range(len(values)), order):
+                anonymizer = Anonymizer(config)
+                import_state(anonymizer, state)
+                ip_map = anonymizer.tries()[prefix]
+                mapped = {values[i]: ip_map.map_int(values[i]) for i in permutation}
+                outputs.append([mapped[v] for v in values])
+            donor_map = donor.tries()[prefix]
+            assert outputs[0] == outputs[1] == [donor_map.map_int(v) for v in values]

@@ -6,7 +6,7 @@ import pytest
 from repro.core import Anonymizer, AnonymizerConfig
 from repro.core.comments import CommentStripper
 from repro.core.report import AnonymizationReport
-from repro.core.secrets import derive_key, derive_seed_int, normalize_salt
+from repro.core.secrets import derive_key, normalize_salt
 from repro.netutil import format_prefix, ip_to_int
 from repro.validation.compare import ValidationResult, compare_values
 
@@ -21,10 +21,6 @@ class TestSecretsKdf:
     def test_purpose_separation(self):
         assert derive_key(b"s", "a") != derive_key(b"s", "b")
         assert derive_key(b"s1", "a") != derive_key(b"s2", "a")
-
-    def test_seed_int_deterministic(self):
-        assert derive_seed_int(b"s", "x") == derive_seed_int(b"s", "x")
-        assert derive_seed_int(b"s", "x") != derive_seed_int(b"s", "y")
 
 
 class TestReport:

@@ -20,6 +20,7 @@ from repro.core.line import SegmentedLine
 from repro.core.parallel import FrozenSnapshot, _rewrite_with, anonymize_files
 from repro.core.rulebase import compile_gate
 from repro.iosgen import NetworkSpec, generate_network
+from repro.netutil import ip_to_int
 
 JUNOS_CONFIG = """\
 system {
@@ -164,7 +165,7 @@ class TestFreezePhase:
         assert stats.words_warmed > 0
         # ASN and community memos fill lazily during the rewrite.
         assert not anonymizer.asn_map._seen
-        assert anonymizer.ip_map.frozen
+        assert anonymizer.frozen and anonymizer.ip_map.shaping
 
     def test_freeze_counts_addresses(self):
         anonymizer = Anonymizer(salt=b"tp")
@@ -175,10 +176,11 @@ class TestFreezePhase:
 
     def test_frozen_trie_is_insertion_order_independent(self):
         addresses = ["10.1.0.0", "10.1.1.5", "10.2.3.4", "6.1.2.0", "6.1.2.9"]
+        values = [ip_to_int(a) for a in addresses]
         first = Anonymizer(salt=b"frz")
-        first.ip_map.freeze()
+        first.ip_map.freeze(values)
         second = Anonymizer(salt=b"frz")
-        second.ip_map.freeze()
+        second.ip_map.freeze(reversed(values))
         mapped_forward = [first.ip_map.map_address(a) for a in addresses]
         mapped_reverse = [
             second.ip_map.map_address(a) for a in reversed(addresses)
@@ -502,9 +504,9 @@ _PROBE = {}
 
 
 def _probing_chunk(tasks):
-    """``_rewrite_chunk`` plus a record of the worker's trie around it."""
+    """``_rewrite_chunk`` plus a record of the worker's map around it."""
     ip_map = parallel._WORKER_ANONYMIZER.ip_map
-    before = len(ip_map._flips)
+    before = ip_map.stride_digests
     cold = sorted(_PROBE["preloaded"] - set(ip_map._raw_cache))
     outcomes = _PROBE["chunk"](tasks)
     path = os.path.join(_PROBE["dir"], "{}-{}.json".format(os.getpid(), tasks[0][0]))
@@ -513,8 +515,8 @@ def _probing_chunk(tasks):
             {
                 "pid": os.getpid(),
                 "cold": cold,
-                "nodes_before": before,
-                "nodes_after": len(ip_map._flips),
+                "digests_before": before,
+                "digests_after": ip_map.stride_digests,
             },
             handle,
         )
@@ -551,7 +553,7 @@ class TestForkWorkersStartWarm:
         assert os.getpid() not in {probe["pid"] for probe in probes}
         for probe in probes:
             assert probe["cold"] == []  # every preloaded walk is memoized
-            assert probe["nodes_after"] == probe["nodes_before"]
+            assert probe["digests_after"] == probe["digests_before"]
 
     @needs_fork
     def test_worker_fault_plan_starts_fresh(self):

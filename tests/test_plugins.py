@@ -376,10 +376,11 @@ class TestIPv6PrefixPreservation:
             "fd00::5",
             "2620:0:2d0:200::7",
         ]
+        values = [ip6_to_int(a) for a in addresses]
         first = Prefix6PreservingMap(b"frz6")
-        first.freeze()
+        first.freeze(values)
         second = Prefix6PreservingMap(b"frz6")
-        second.freeze()
+        second.freeze(reversed(values))
         forward = [first.map_address(a) for a in addresses]
         backward = [second.map_address(a) for a in reversed(addresses)]
         assert forward == list(reversed(backward))
@@ -387,15 +388,15 @@ class TestIPv6PrefixPreservation:
     def test_subnet_shaping_pins_zero_tails(self):
         mapper = Prefix6PreservingMap(b"shape6", subnet_shaping=True)
         anchor = ip6_to_int("2001:db8:17::")  # 80 trailing zero bits
+        mapper.freeze([anchor])
         mapped = mapper.map_int(anchor)
         assert mapped & ((1 << 80) - 1) == 0
         assert int_to_ip6(mapped).endswith("::")
 
     def test_dense_freeze_does_not_pin_routing_prefix(self):
-        # Every /48 of 2001:db8::/40 in use, inserted the way the freeze
-        # scan inserts them (most trailing zeros first): bits 32-47 must
-        # not come out unchanged, as they would if each zero tail below
-        # 2001:db8:: were pinned in full.
+        # Every /48 of 2001:db8::/40 in use and in the shaping set: bits
+        # 32-47 must not come out unchanged, as they would if each zero
+        # tail below 2001:db8:: were pinned in full.
         values = [ip6_to_int("2001:db8::")]
         for site in range(256):
             base = ip6_to_int("2001:db8:{:x}::".format(site))
@@ -404,7 +405,8 @@ class TestIPv6PrefixPreservation:
         kept = total = 0
         for salt in range(4):
             mapper = Prefix6PreservingMap(b"dense6-%d" % salt)
-            for value in sorted(set(values), key=lambda v: (-(v & -v).bit_length(), v)):
+            mapper.freeze(values)
+            for value in set(values):
                 mapped = mapper.map_int(value)
                 total += 1
                 kept += (mapped ^ value) & field == 0
@@ -586,15 +588,17 @@ class TestPluginSetPinning:
         restored = snapshot.restore()
         assert restored.active_plugin_families == parent.active_plugin_families
         assert restored.ip6_map is not None
-        assert restored.ip6_map.frozen
+        assert restored.frozen and restored.ip6_map.shaping == parent.ip6_map.shaping
         assert restored.ip6_map.map_address("2001:db8::7") == expected
 
     def test_state_doc_records_and_restores_ip6_trie(self):
         first = Anonymizer(
             AnonymizerConfig(salt=b"st6", plugins=BUILTIN_FAMILIES)
         )
+        first.freeze_mappings(
+            {"r1.cfg": "ipv6 address 2001:db8:85a3::/64\nntp server 2001:db8:85a3::1\n"}
+        )
         first.ip6_map.map_address("2001:db8:85a3::8a2e:370:7334")
-        first.ip6_map.map_address("2001:db8:85a3::1")
         document = export_state(first)
         assert sorted(document["active_plugins"]) == sorted(
             first.active_plugin_families
@@ -603,7 +607,12 @@ class TestPluginSetPinning:
             AnonymizerConfig(salt=b"st6", plugins=BUILTIN_FAMILIES)
         )
         import_state(second, document)
-        assert second.ip6_map._flips == first.ip6_map._flips
+        assert second.ip6_map.shaping == first.ip6_map.shaping == {
+            ip6_to_int("2001:db8:85a3::")
+        }
+        assert second.ip6_map.map_address("2001:db8:85a3::") == (
+            first.ip6_map.map_address("2001:db8:85a3::")
+        )
         assert (
             second.ip6_map.addresses_mapped == first.ip6_map.addresses_mapped
         )
@@ -624,8 +633,7 @@ class TestPluginSetPinning:
         exporter = Anonymizer(AnonymizerConfig(salt=b"legacy"))
         document = export_state(exporter)
         document.pop("active_plugins")
-        document.pop("ip6_trie", None)
-        document.pop("ip6_rng_state", None)
+        document.pop("ip6_shaping", None)
         document.pop("ip6_counters", None)
         importer = Anonymizer(AnonymizerConfig(salt=b"legacy"))
         import_state(importer, document)  # must not raise

@@ -140,6 +140,52 @@ class TestStateDelta:
         assert export_state(a) == before
 
 
+class TestJournalOnlyRecovery:
+    """A session recovered from its durable history exports the bytes the
+    live session exported: the freeze record carries the shaping sets,
+    so nothing the freeze fixed is lost with the snapshot."""
+
+    V6_TEXT = "interface Loopback0\n ipv6 address 2001:db8:1::1/64\n ipv6 address 2001:db8:2::/64\n"
+
+    @pytest.mark.parametrize("snapshot_every", [1, 64])
+    def test_recovered_state_equals_live(self, tmp_path, figure1_text, snapshot_every):
+        # At 64 nothing is snapshotted and recovery replays the journal
+        # alone; at 1 every append rotates the journal into a snapshot.
+        manager, store, _ = _durable_manager(
+            tmp_path / "state", snapshot_every=snapshot_every
+        )
+        session = manager.create(SALT, {"plugins": ["ipv6"]})
+        corpus = dict(_corpus(figure1_text), **{"v6.cfg": self.V6_TEXT})
+        session.freeze(corpus)
+        for name, text in sorted(corpus.items()):
+            session.anonymize(text, source=name)
+        live = session.export_state()
+        manager.close_all()
+        snapshot = store.sessions_dir / session.id / "snapshot.json"
+        assert snapshot.exists() == (snapshot_every == 1)
+
+        manager2, _, _ = _durable_manager(tmp_path / "state", snapshot_every=snapshot_every)
+        restored = manager2.resume(SALT, session.id)
+        assert restored.export_state() == live
+        manager2.close_all()
+
+    def test_dualstack_fixture_recovers_from_its_journal(self, tmp_path):
+        from tests.test_state import FIXTURE_DIR, FIXTURE_SALT, record_dualstack_session
+
+        configs = json.loads((FIXTURE_DIR / "configs.json").read_text())
+        journal, live = record_dualstack_session(tmp_path, configs)
+        assert (journal, live) == (
+            (FIXTURE_DIR / "journal.jsonl").read_bytes(),
+            (FIXTURE_DIR / "state.json").read_text(),
+        )
+        manager, store, _ = _durable_manager(tmp_path)
+        (session_id,) = store.summary.recoverable
+        assert not (store.sessions_dir / session_id / "snapshot.json").exists()
+        restored = manager.resume(FIXTURE_SALT, session_id)
+        assert restored.export_state() == live
+        manager.close_all()
+
+
 class TestRecovery:
     def test_empty_journal_recovers(self, tmp_path):
         manager, store, _ = _durable_manager(tmp_path / "state")

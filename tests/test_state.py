@@ -20,6 +20,8 @@ from repro.core.state import (
 
 #: A dual-stack EOS session recorded by an earlier version of the code;
 #: regenerate with ``PYTHONPATH=src python -m tests.test_state``.
+#: ``journal_lagging_asns.jsonl`` is a format-1 journal, kept to show
+#: such journals are refused.
 FIXTURE_DIR = Path(__file__).parent / "data" / "dualstack_eos"
 FIXTURE_SALT = "dualstack-fixture"
 FIXTURE_PLUGINS = ["blobs", "eos", "ipv6"]
@@ -119,6 +121,37 @@ class TestStateRoundTrip:
         assert day1 == day2
 
 
+def _load_example(name):
+    """Import ``examples/<name>.py`` as a module."""
+    import importlib.util
+
+    path = Path(__file__).parents[1] / "examples" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLongitudinalExample:
+    def test_day1_addresses_map_the_same_on_day30(self, tmp_path):
+        example = _load_example("longitudinal")
+        day1 = example.day1_configs()
+        day30 = example.day30_configs(day1)
+        first, _, second, _ = example.run_two_days(tmp_path / "state.json", day1, day30)
+        # Day 30 keeps day 1's shaping set, so no node day 1 walked
+        # unpinned is pinned on day 30.
+        assert second.ip_map.shaping == first.ip_map.shaping
+        words = set()
+        for text in day1.values():
+            words.update(text.split())
+        day1_addresses = first._scan_addresses(words)
+        assert day1_addresses
+        for value in day1_addresses:
+            assert second.ip_map.map_int(value) == first.ip_map.map_int(value)
+        # The one subnet first seen on day 30 goes unshaped.
+        assert example.unshaped_subnets(second, day30) == [0x0A630100]
+
+
 class TestStateValidation:
     def test_version_checked(self):
         anonymizer = Anonymizer(salt=b"o")
@@ -185,17 +218,26 @@ class TestStateCorruption:
         with pytest.raises(StateError, match="version"):
             self._load(tmp_path, json.dumps(state))
 
+    def test_format_1_document_refused(self, tmp_path):
+        # Format 1 carried the RNG-drawn trie; its flips mean nothing to
+        # the keyed map, so the document is refused, naming its version.
+        state = dict(export_state(Anonymizer(salt=b"o")), format_version=1)
+        state.update(ip_trie={"0:0": 1}, ip_rng_state=[3, [0], None])
+        with pytest.raises(StateError, match="version 1"):
+            self._load(tmp_path, json.dumps(state))
+
     def test_missing_required_key(self, tmp_path):
         state = export_state(Anonymizer(salt=b"o"))
-        del state["ip_rng_state"]
+        del state["ip_shaping"]
         with pytest.raises(StateError, match="malformed"):
             self._load(tmp_path, json.dumps(state))
 
     def test_mangled_trie_keys(self, tmp_path):
         state = export_state(Anonymizer(salt=b"o"))
-        state["ip_trie"] = {"not-a-depth-prefix-pair": 1}
-        with pytest.raises(StateError, match="malformed"):
-            self._load(tmp_path, json.dumps(state))
+        for shaping in (["10.1.1.0"], [1 << 32], [-4], [1.5], 7, {"0:0": 1}):
+            state["ip_shaping"] = shaping
+            with pytest.raises(StateError, match="malformed"):
+                self._load(tmp_path, json.dumps(state))
 
     def test_error_names_the_file(self, tmp_path):
         with pytest.raises(StateError) as excinfo:
@@ -209,7 +251,7 @@ class TestStateCorruption:
     def test_malformed_state_leaves_anonymizer_untouched(self, tmp_path):
         good = export_state(Anonymizer(salt=b"o"))
         bad = dict(good)
-        bad["ip_rng_state"] = "nope"
+        bad["ip_shaping"] = "nope"
         anonymizer = Anonymizer(salt=b"o")
         baseline = Anonymizer(salt=b"o")
         with pytest.raises(StateError):
@@ -238,8 +280,9 @@ class TestStateCorruption:
 
 
 class TestDualStackFixture:
-    """Documents written before the one-trie refactor still load, replay
-    to the same mappings, and re-export byte for byte."""
+    """A recorded dual-stack session replays from its journal alone to the
+    recorded state document byte for byte, maps the same, and
+    re-records byte for byte."""
 
     @staticmethod
     def _records(journal):
@@ -269,47 +312,51 @@ class TestDualStackFixture:
 
     def test_fixture_covers_both_tries(self, recorded):
         _, state, _, records = recorded
-        assert json.loads(state)["ip6_trie"]
+        assert json.loads(state)["ip6_shaping"]
         assert [r["op"] for r in records][0] == "freeze"
-        assert any(r["op"] == "anonymize" and r["delta"]["ip6_trie"] for r in records)
-        assert any(r["op"] == "anonymize" and r["delta"]["ip_trie"] for r in records)
-
-    def _replay(self, records, state):
-        anonymizer = self._fresh()
-        for record in records:
-            apply_state_delta(anonymizer, record["delta"])
-            if record["op"] == "freeze":
-                anonymizer.mark_frozen()
-        replayed, recorded_state = json.loads(export_state_json(anonymizer)), json.loads(state)
-        # Not compared: the RNG states (the freeze record's delta is taken
-        # after the freeze, so it lacks the position the preload reached).
-        for key in ("ip_trie", "ip6_trie", "ip_counters", "ip6_counters",
-                    "hash_cache", "active_plugins", "hash_length"):
-            assert replayed[key] == recorded_state[key], key
-        return anonymizer, replayed["seen_asns"], recorded_state["seen_asns"]
+        assert records[0]["delta"]["ip_shaping"] and records[0]["delta"]["ip6_shaping"]
+        # Only the freeze fixes the shaping sets: later records carry
+        # the counters and hashes alone.
+        assert all("ip_shaping" not in r["delta"] for r in records[1:])
+        assert any(r["delta"]["ip6_counters"]["addresses_mapped"] for r in records[1:])
 
     def test_journal_replays_to_recorded_state(self, recorded):
         configs, state, _, records = recorded
-        anonymizer, replayed_asns, recorded_asns = self._replay(records, state)
-        assert replayed_asns == recorded_asns
+        anonymizer = self._fresh()
+        for record in records:
+            apply_state_delta(anonymizer, record["delta"])
+        assert export_state_json(anonymizer) == state
+        anonymizer.frozen = True
         self._assert_mappings(anonymizer, configs, records)
 
-    def test_legacy_journal_still_replays(self, recorded):
-        # Recorded before each record carried its own request's ASNs: a
-        # delta held the ASNs of the request before it, so the last
-        # request's never reached the journal.
-        configs, state, _, _ = recorded
-        records = self._records((FIXTURE_DIR / "journal_lagging_asns.jsonl").read_bytes())
-        anonymizer, replayed_asns, recorded_asns = self._replay(records, state)
-        assert set(replayed_asns) < set(recorded_asns)
-        self._assert_mappings(anonymizer, configs, records)
+    def test_legacy_journal_is_refused(self, tmp_path):
+        # A format-1 session (its journal carried the RNG-drawn trie) is
+        # quarantined at recovery, with its version named, never replayed.
+        from repro.core.runner import salt_fingerprint
+        from repro.service.journal import SessionStore
+
+        directory = tmp_path / "sessions" / "legacy"
+        directory.mkdir(parents=True)
+        (directory / "meta.json").write_text(json.dumps({
+            "format_version": 1,
+            "session_id": "legacy",
+            "salt_fingerprint": salt_fingerprint(FIXTURE_SALT.encode()),
+            "options": {"plugins": FIXTURE_PLUGINS},
+            "active_plugins": FIXTURE_PLUGINS,
+        }))
+        legacy = (FIXTURE_DIR / "journal_lagging_asns.jsonl").read_bytes()
+        assert "ip_trie" in self._records(legacy)[0]["delta"]
+        (directory / "journal.jsonl").write_bytes(legacy)
+        summary = SessionStore(tmp_path).recover()
+        assert not summary.recoverable
+        assert "format_version 1" in summary.quarantined["legacy"]
 
     def test_state_document_round_trips(self, recorded):
         configs, state, _, records = recorded
         anonymizer = self._fresh()
         import_state_json(anonymizer, state)
         assert export_state_json(anonymizer) == state
-        anonymizer.mark_frozen()
+        anonymizer.frozen = True
         self._assert_mappings(anonymizer, configs, records)
 
     def test_rerecorded_session_is_byte_identical(self, recorded, tmp_path):
